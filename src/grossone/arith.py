@@ -16,9 +16,14 @@ divisor through a truncated geometric series: writing the divisor as
     a / b  =  a * (1/beta) * G^-q * sum_{i < K} (-r)^i
 
 truncated to K series levels below the quotient's leading grosspower.  The
-residual ``a - (a/b)*b`` has leading grosspower at most ``leading(a) - K``,
-and the quotient is exact whenever ``b`` is a single term.  ``K`` is
-``ArithConfig.truncation_order``.
+truncation is applied while the series is built: every power ``(-r)^i`` keeps
+only relative grosspowers ``>= -K`` (``r`` has only negative grosspowers, so
+a dropped term could only feed lower ones), and the scaled dividend keeps
+only grosspowers ``>= leading - K`` before the final product.  Each kept
+digit is the same sum of the same products, in the same order, as in the
+fully expanded series.  The residual ``a - (a/b)*b`` has leading grosspower
+at most ``leading(a) - K``, and the quotient is exact whenever ``b`` is a
+single term.  ``K`` is ``ArithConfig.truncation_order``.
 
 Ordering is total: a nonzero gross-number takes the sign of its
 highest-grosspower digit, and ``a < b`` means ``sign(a - b) < 0``.
@@ -26,6 +31,7 @@ highest-grosspower digit, and ``a < b`` means ``sign(a - b) < 0``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple, Union
@@ -133,6 +139,14 @@ class GrossNumber:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
+    def _from_terms(cls, terms: Tuple[Tuple[int, Digit], ...]) -> "GrossNumber":
+        """Wrap terms that are already normalized (strictly descending
+        grosspowers, nonzero digits) without checking them."""
+        value = object.__new__(cls)
+        value._terms = terms
+        return value
+
+    @classmethod
     def from_rational(cls, value) -> "GrossNumber":
         return cls([(0, value)])
 
@@ -188,12 +202,12 @@ class GrossNumber:
         other = _coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        return GrossNumber(self._terms + other._terms)
+        return GrossNumber._from_terms(_sum_terms(self._terms, other._terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "GrossNumber":
-        return GrossNumber((p, -d) for p, d in self._terms)
+        return GrossNumber._from_terms(tuple((p, -d) for p, d in self._terms))
 
     def __sub__(self, other) -> "GrossNumber":
         other = _coerce_operand(other)
@@ -211,12 +225,7 @@ class GrossNumber:
         other = _coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        products = [
-            (pa + pb, da * db)
-            for pa, da in self._terms
-            for pb, db in other._terms
-        ]
-        return GrossNumber(products)
+        return GrossNumber._from_terms(_product_terms(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -228,36 +237,42 @@ class GrossNumber:
         its leading grosspower — every retained coefficient above the cutoff
         equals the infinite-series quotient's — and the residual
         ``a - (a/b)*b`` has leading grosspower at most ``leading(a) - K``.
+        Terms below the cutoff are never formed: each series power keeps
+        relative grosspowers ``>= -K`` and the scaled dividend grosspowers
+        ``>= leading - K``, which are all the terms the kept digits use.
         """
         other = as_gross(other)
         if other.is_zero():
             raise ZeroDivisionError("gross-number division by zero")
+        order = config.truncation_order
         q, beta = other._terms[0]
-        lead_reciprocal = GrossNumber([(-q, _reciprocal(beta))])
+        inverse = _reciprocal(beta)
         # r = other / (beta * G^q) - 1: strictly negative relative grosspowers.
-        tail = GrossNumber((p - q, d * _reciprocal(beta)) for p, d in other._terms[1:])
-        geometric = ONE
-        acc = ONE
-        for _ in range(config.truncation_order - 1):
-            if tail.is_zero():
+        tail = _product_terms(other._terms[1:], ((-q, inverse),))
+        # a * (1/beta) * G^-q.  With a multi-term divisor only its grosspowers
+        # down to its leading grosspower minus K reach the quotient.
+        scaled = []
+        for p, d in self._terms:
+            if tail and scaled and p - q < scaled[0][0] - order:
                 break
-            acc = acc * (-tail)
-            if acc.is_zero():
-                break
-            geometric = geometric + acc
-        result = self * lead_reciprocal * geometric
-        if not tail.is_zero() and not result.is_zero():
-            # Terms below leading - K carry no exact information; dropping
-            # them contributes to the residual only at order leading(a)-K-1.
-            cutoff = result.leading_power - config.truncation_order
-            result = GrossNumber((p, d) for p, d in result._terms if p >= cutoff)
+            d = d * inverse
+            if d != 0:  # a float product can underflow to zero
+                scaled.append((p - q, d))
+        result = tuple(scaled)
+        if tail and scaled:
+            negated_tail = tuple((p, -d) for p, d in tail)
+            series_term = geometric = ONE._terms
+            for _ in range(order - 1):
+                series_term = _product_terms(series_term, negated_tail, -order)
+                if not series_term:
+                    break
+                geometric = _sum_terms(geometric, series_term)
+            result = _product_terms(result, geometric, result[0][0] - order)
         if config.digit_mode == "float":
-            result = GrossNumber(
-                (p, float(d))
-                for p, d in result._terms
-                if abs(d) > config.float_zero_tol
+            return GrossNumber(
+                (p, float(d)) for p, d in result if abs(d) > config.float_zero_tol
             )
-        return result
+        return GrossNumber._from_terms(result)
 
     def __truediv__(self, other) -> "GrossNumber":
         other = _coerce_operand(other)
@@ -272,14 +287,23 @@ class GrossNumber:
         return other.divide(self)
 
     def power(self, exponent: int, config: ArithConfig = DEFAULT_CONFIG) -> "GrossNumber":
-        """Integer power by repeated multiplication; G^0 = 1 by the n = 0 case."""
+        """Integer power by square-and-multiply; G^0 = 1 by the n = 0 case.
+
+        Products are exact, so the result equals repeated multiplication
+        (for rational digits) in O(log n) multiplications.
+        """
         if isinstance(exponent, bool) or not isinstance(exponent, int):
             raise TypeError("exponent must be an integer")
         if exponent < 0:
             return ONE.divide(self.power(-exponent), config)
         result = ONE
-        for _ in range(exponent):
-            result = result * self
+        square = self
+        while exponent:
+            if exponent & 1:
+                result = result * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
         return result
 
     def __pow__(self, exponent: int) -> "GrossNumber":
@@ -347,6 +371,51 @@ class GrossNumber:
         return _TextReader(text).read_number()
 
 
+def _sum_terms(a, b) -> Tuple[Tuple[int, Digit], ...]:
+    """Normalized terms of a + b, by merging two normalized term tuples."""
+    merged = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        pa, pb = a[i][0], b[j][0]
+        if pa > pb:
+            merged.append(a[i])
+            i += 1
+        elif pa < pb:
+            merged.append(b[j])
+            j += 1
+        else:
+            d = a[i][1] + b[j][1]
+            if d != 0:
+                merged.append((pa, d))
+            i += 1
+            j += 1
+    merged.extend(a[i:])
+    merged.extend(b[j:])
+    return tuple(merged)
+
+
+def _product_terms(a, b, floor=-math.inf) -> Tuple[Tuple[int, Digit], ...]:
+    """Normalized terms of a * b at grosspowers >= floor.
+
+    Products are summed per grosspower in the order ``GrossNumber(...)``
+    would sum them (a outer, b inner), so a kept digit does not depend on
+    floor.  Both tuples descend, so a row stops at its first product below
+    floor.
+    """
+    acc: dict[int, Digit] = {}
+    for pa, da in a:
+        for pb, db in b:
+            p = pa + pb
+            if p < floor:
+                break
+            d = da * db
+            if p in acc:
+                acc[p] = acc[p] + d
+            else:
+                acc[p] = d
+    return tuple((p, acc[p]) for p in sorted(acc, reverse=True) if acc[p] != 0)
+
+
 def _reciprocal(digit: Digit) -> Digit:
     if isinstance(digit, float):
         return 1.0 / digit
@@ -358,9 +427,11 @@ def _coerce_operand(value):
         return value
     if isinstance(value, bool):
         return NotImplemented
-    if isinstance(value, (int, Fraction, float)):
-        return GrossNumber([(0, value)])
-    return NotImplemented
+    if isinstance(value, int):
+        value = Fraction(value)
+    elif not isinstance(value, (Fraction, float)):
+        return NotImplemented
+    return GrossNumber._from_terms(((0, value),) if value != 0 else ())
 
 
 def _format_digit(d: Digit) -> str:

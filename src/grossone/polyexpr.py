@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Set, Union
 
-from .arith import GrossNumber, ONE, ParseError, as_gross
+from .arith import GrossNumber, ParseError, as_gross
 from .linalg import GrossVector
 
 __all__ = [
@@ -192,11 +192,7 @@ def eval_gross(expr: PolyExpr, point: Union[GrossVector, Sequence]) -> GrossNumb
         case Neg(operand=e):
             return -eval_gross(e, point)
         case Pow(base=b, exponent=k):
-            base = eval_gross(b, point)
-            result = ONE
-            for _ in range(k):
-                result = result * base
-            return result
+            return eval_gross(b, point).power(k)
     raise TypeError(f"not a PolyExpr node: {expr!r}")
 
 

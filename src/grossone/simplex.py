@@ -603,7 +603,10 @@ def parse_lp(text: str) -> LpStandardForm:
     c = tagged_rationals(lines[1], "c:", n)
     a = [tagged_rationals(lines[2 + i], "A:", n) for i in range(m)]
     b = tagged_rationals(lines[2 + m], "b:", m)
-    return LpStandardForm(tuple(map(tuple, a)), tuple(b), tuple(c))
+    try:
+        return LpStandardForm(tuple(map(tuple, a)), tuple(b), tuple(c))
+    except ValueError as exc:  # e.g. m > n, or an empty A
+        raise LpFormatError(f"line {line_no}: {exc}") from None
 
 
 # -- synthetic degenerate instances ---------------------------------------------------

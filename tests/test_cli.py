@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 
@@ -47,6 +48,11 @@ class TestGrossEval:
         code, _ = run(["gross", "eval", "1 / (G - G)"])
         assert code == 65
 
+    def test_huge_negative_exponent_is_fast(self):
+        start = time.perf_counter()
+        assert run(["gross", "eval", "G^-99999999"]) == (0, "G^-99999999\n")
+        assert time.perf_counter() - start < 5
+
     def test_float_mode(self):
         code, out = run(["gross", "eval", "G / (1 + 4*G)", "--arith", "float", "--trunc", "2"])
         assert code == 0
@@ -77,6 +83,19 @@ class TestLpSolve:
         path.write_text("1 2\nc: 1\nA: 1 1\nb: 1\n")
         code, _ = run(["lp", "solve", str(path)])
         assert code == 65
+
+    @pytest.mark.parametrize(
+        "text",
+        ["3 2\nc: 1 1\nA: 1 0\nA: 0 1\nA: 1 1\nb: 1 1 2\n", "0 2\nc: 1 1\nb:\n"],
+        ids=["more-rows-than-columns", "no-rows"],
+    )
+    def test_shape_error_exit(self, tmp_path, capsys, text):
+        path = tmp_path / "shape.lp"
+        path.write_text(text)
+        code, out = run(["lp", "solve", str(path)])
+        assert (code, out) == (65, "")
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: line 1: ") and err.count("\n") == 1
 
     def test_missing_file_exit(self, tmp_path):
         code, _ = run(["lp", "solve", str(tmp_path / "nope.lp")])

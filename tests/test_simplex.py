@@ -392,6 +392,8 @@ class TestParseLp:
             "1 2\nc: 1 x\nA: 1 1\nb: 1",
             "1 2\nc: 1 2\nA: 1 1\nb: 1/0",
             "1 2\nc: 1 1.5\nA: 1 1\nb: 1",
+            "2 1\nc: 1\nA: 1\nA: 1\nb: 1 1",
+            "0 1\nc: 1\nb:",
         ],
     )
     def test_rejects_malformed(self, bad):
