@@ -3,10 +3,10 @@
 A gross-number is a finite signed series ``sum_p c_p * G^p`` built on the
 infinite unit G (grossone): G is larger than every finite number, ``G^0 = 1``,
 and ``G^-1`` is a positive infinitesimal with ``G * G^-1 = 1``.  Grosspowers
-``p`` are integers; grossdigits ``c_p`` are exact rationals (or floats in the
-optional floating mode).  A value is finite when its only grosspower is 0,
-infinite when a positive grosspower appears, and infinitesimal when every
-grosspower is negative.
+``p`` are integers; grossdigits ``c_p`` are exact rationals (``Fraction``;
+ints are accepted and converted, floats are refused).  A value is finite
+when its only grosspower is 0, infinite when a positive grosspower appears,
+and infinitesimal when every grosspower is negative.
 
 Addition, subtraction and multiplication are exact.  Division inverts the
 divisor through a truncated geometric series: writing the divisor as
@@ -45,22 +45,16 @@ __all__ = [
     "ONE",
     "GROSSONE",
     "GROSSONE_INVERSE",
-    "add",
     "as_gross",
-    "coefficient",
     "compare",
     "div",
     "evaluate_at",
-    "finite_part",
     "make",
-    "mul",
     "parse",
-    "sign",
     "to_text",
 ]
 
-Digit = Union[Fraction, float]
-Scalar = Union[int, Fraction, float, "GrossNumber"]
+Scalar = Union[int, Fraction, "GrossNumber"]
 
 
 class ParseError(ValueError):
@@ -73,44 +67,90 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+class _Scanner:
+    """Cursor shared by the recursive-descent readers: gross-number text
+    here, polynomial expressions in ``polyexpr`` and the ``gross eval``
+    calculator in ``cli``.  Errors carry the current position."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.text, self.pos)
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, char: str) -> None:
+        if self.peek() != char:
+            raise self.error(f"expected {char!r}")
+        self.pos += 1
+
+    def expect_end(self) -> None:
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise self.error("unexpected trailing input")
+
+    def read_uint(self) -> int:
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            raise self.error("expected an unsigned integer")
+        return int(self.text[start:self.pos])
+
+    def read_int(self) -> int:
+        sign = 1
+        if self.peek() in ("+", "-"):
+            if self.peek() == "-":
+                sign = -1
+            self.pos += 1
+        return sign * self.read_uint()
+
+    def read_rational(self) -> Fraction:
+        numerator = self.read_uint()
+        if self.peek() == "/":
+            self.pos += 1
+            mark = self.pos
+            denominator = self.read_uint()
+            if denominator == 0:
+                self.pos = mark
+                raise self.error("zero denominator")
+            return Fraction(numerator, denominator)
+        return Fraction(numerator)
+
+
 @dataclass(frozen=True)
 class ArithConfig:
-    """Knobs for the one inexact operation (division).
+    """Knob for the one truncated operation (division).
 
     truncation_order: number K of geometric-series terms kept when inverting
         a multi-term divisor; must be >= 1.
-    digit_mode: "rational" keeps grossdigits exact; "float" converts division
-        results to floats.
-    float_zero_tol: digits with magnitude <= tol are dropped from division
-        results in float mode; must be 0 in rational mode.
     """
 
     truncation_order: int = 8
-    digit_mode: str = "rational"
-    float_zero_tol: float = 0.0
 
     def __post_init__(self) -> None:
         if self.truncation_order < 1:
             raise ValueError("truncation_order must be >= 1")
-        if self.digit_mode not in ("rational", "float"):
-            raise ValueError(f"unknown digit_mode {self.digit_mode!r}")
-        if self.float_zero_tol < 0:
-            raise ValueError("float_zero_tol must be nonnegative")
-        if self.digit_mode == "rational" and self.float_zero_tol != 0:
-            raise ValueError("float_zero_tol must be 0 in rational mode")
 
 
 DEFAULT_CONFIG = ArithConfig()
 
 
-def _coerce_digit(value) -> Digit:
+def _coerce_digit(value) -> Fraction:
     if isinstance(value, bool):
         raise TypeError("grossdigit must be a number, not bool")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, (Fraction, float)):
+    if isinstance(value, Fraction):
         return value
-    raise TypeError(f"grossdigit must be rational or float, got {type(value).__name__}")
+    raise TypeError(f"grossdigit must be rational, got {type(value).__name__}")
 
 
 class GrossNumber:
@@ -123,7 +163,7 @@ class GrossNumber:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[Tuple[int, object]] = ()):
-        acc: dict[int, Digit] = {}
+        acc: dict[int, Fraction] = {}
         for power, digit in terms:
             if isinstance(power, bool) or not isinstance(power, int):
                 raise TypeError(f"grosspower must be a finite integer, got {power!r}")
@@ -139,21 +179,17 @@ class GrossNumber:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def _from_terms(cls, terms: Tuple[Tuple[int, Digit], ...]) -> "GrossNumber":
+    def _from_terms(cls, terms: Tuple[Tuple[int, Fraction], ...]) -> "GrossNumber":
         """Wrap terms that are already normalized (strictly descending
         grosspowers, nonzero digits) without checking them."""
         value = object.__new__(cls)
         value._terms = terms
         return value
 
-    @classmethod
-    def from_rational(cls, value) -> "GrossNumber":
-        return cls([(0, value)])
-
     # -- structure ------------------------------------------------------------
 
     @property
-    def terms(self) -> Tuple[Tuple[int, Digit], ...]:
+    def terms(self) -> Tuple[Tuple[int, Fraction], ...]:
         return self._terms
 
     def is_zero(self) -> bool:
@@ -174,11 +210,11 @@ class GrossNumber:
         lead = self._terms[0][1]
         return 1 if lead > 0 else -1
 
-    def finite_part(self) -> Digit:
+    def finite_part(self) -> Fraction:
         """Grossdigit at grosspower 0 (0 if absent)."""
         return self.coefficient(0)
 
-    def coefficient(self, power: int) -> Digit:
+    def coefficient(self, power: int) -> Fraction:
         for p, d in self._terms:
             if p == power:
                 return d
@@ -186,12 +222,12 @@ class GrossNumber:
                 break
         return Fraction(0)
 
-    def evaluate_at(self, point) -> Digit:
-        """Substitute a positive finite value for G; exact for rational digits."""
-        t = Fraction(point) if not isinstance(point, float) else point
+    def evaluate_at(self, point) -> Fraction:
+        """Substitute a positive finite rational for G; exact."""
+        t = Fraction(point)
         if t <= 0:
             raise ValueError("substitution point must be positive")
-        total: Digit = Fraction(0)
+        total = Fraction(0)
         for p, d in self._terms:
             total = total + d * t ** p
         return total
@@ -246,7 +282,7 @@ class GrossNumber:
             raise ZeroDivisionError("gross-number division by zero")
         order = config.truncation_order
         q, beta = other._terms[0]
-        inverse = _reciprocal(beta)
+        inverse = Fraction(1) / beta
         # r = other / (beta * G^q) - 1: strictly negative relative grosspowers.
         tail = _product_terms(other._terms[1:], ((-q, inverse),))
         # a * (1/beta) * G^-q.  With a multi-term divisor only its grosspowers
@@ -255,9 +291,7 @@ class GrossNumber:
         for p, d in self._terms:
             if tail and scaled and p - q < scaled[0][0] - order:
                 break
-            d = d * inverse
-            if d != 0:  # a float product can underflow to zero
-                scaled.append((p - q, d))
+            scaled.append((p - q, d * inverse))
         result = tuple(scaled)
         if tail and scaled:
             negated_tail = tuple((p, -d) for p, d in tail)
@@ -268,10 +302,6 @@ class GrossNumber:
                     break
                 geometric = _sum_terms(geometric, series_term)
             result = _product_terms(result, geometric, result[0][0] - order)
-        if config.digit_mode == "float":
-            return GrossNumber(
-                (p, float(d)) for p, d in result if abs(d) > config.float_zero_tol
-            )
         return GrossNumber._from_terms(result)
 
     def __truediv__(self, other) -> "GrossNumber":
@@ -289,8 +319,8 @@ class GrossNumber:
     def power(self, exponent: int, config: ArithConfig = DEFAULT_CONFIG) -> "GrossNumber":
         """Integer power by square-and-multiply; G^0 = 1 by the n = 0 case.
 
-        Products are exact, so the result equals repeated multiplication
-        (for rational digits) in O(log n) multiplications.
+        Products are exact, so the result equals repeated multiplication in
+        O(log n) multiplications.
         """
         if isinstance(exponent, bool) or not isinstance(exponent, int):
             raise TypeError("exponent must be an integer")
@@ -371,7 +401,7 @@ class GrossNumber:
         return _TextReader(text).read_number()
 
 
-def _sum_terms(a, b) -> Tuple[Tuple[int, Digit], ...]:
+def _sum_terms(a, b) -> Tuple[Tuple[int, Fraction], ...]:
     """Normalized terms of a + b, by merging two normalized term tuples."""
     merged = []
     i = j = 0
@@ -394,7 +424,7 @@ def _sum_terms(a, b) -> Tuple[Tuple[int, Digit], ...]:
     return tuple(merged)
 
 
-def _product_terms(a, b, floor=-math.inf) -> Tuple[Tuple[int, Digit], ...]:
+def _product_terms(a, b, floor=-math.inf) -> Tuple[Tuple[int, Fraction], ...]:
     """Normalized terms of a * b at grosspowers >= floor.
 
     Products are summed per grosspower in the order ``GrossNumber(...)``
@@ -402,7 +432,7 @@ def _product_terms(a, b, floor=-math.inf) -> Tuple[Tuple[int, Digit], ...]:
     floor.  Both tuples descend, so a row stops at its first product below
     floor.
     """
-    acc: dict[int, Digit] = {}
+    acc: dict[int, Fraction] = {}
     for pa, da in a:
         for pb, db in b:
             p = pa + pb
@@ -416,12 +446,6 @@ def _product_terms(a, b, floor=-math.inf) -> Tuple[Tuple[int, Digit], ...]:
     return tuple((p, acc[p]) for p in sorted(acc, reverse=True) if acc[p] != 0)
 
 
-def _reciprocal(digit: Digit) -> Digit:
-    if isinstance(digit, float):
-        return 1.0 / digit
-    return Fraction(1) / digit
-
-
 def _coerce_operand(value):
     if isinstance(value, GrossNumber):
         return value
@@ -429,25 +453,21 @@ def _coerce_operand(value):
         return NotImplemented
     if isinstance(value, int):
         value = Fraction(value)
-    elif not isinstance(value, (Fraction, float)):
+    elif not isinstance(value, Fraction):
         return NotImplemented
     return GrossNumber._from_terms(((0, value),) if value != 0 else ())
 
 
-def _format_digit(d: Digit) -> str:
-    return repr(d) if isinstance(d, float) else str(d)
-
-
-def _format_term(power: int, magnitude: Digit) -> str:
+def _format_term(power: int, magnitude: Fraction) -> str:
     if power == 0:
-        return _format_digit(magnitude)
+        return str(magnitude)
     suffix = "G" if power == 1 else f"G^{power}"
     if magnitude == 1:
         return suffix
-    return _format_digit(magnitude) + suffix
+    return str(magnitude) + suffix
 
 
-class _TextReader:
+class _TextReader(_Scanner):
     """Recursive-descent reader for the canonical gross-number grammar.
 
     number := term (('+'|'-') term)*
@@ -456,48 +476,6 @@ class _TextReader:
 
     A bare 'G' carries digit 1; a missing 'G' means grosspower 0.
     """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.text, self.pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def read_uint(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an unsigned integer")
-        return int(self.text[start:self.pos])
-
-    def read_int(self) -> int:
-        sign = 1
-        if self.peek() in ("+", "-"):
-            if self.text[self.pos] == "-":
-                sign = -1
-            self.pos += 1
-        return sign * self.read_uint()
-
-    def read_rational(self) -> Fraction:
-        numerator = self.read_uint()
-        if self.peek() == "/":
-            self.pos += 1
-            mark = self.pos
-            denominator = self.read_uint()
-            if denominator == 0:
-                self.pos = mark
-                raise self.error("zero denominator")
-            return Fraction(numerator, denominator)
-        return Fraction(numerator)
 
     def read_term(self) -> Tuple[int, Fraction]:
         sign = 1
@@ -548,7 +526,7 @@ GROSSONE_INVERSE = GrossNumber([(-1, 1)])
 
 
 def as_gross(value: Scalar) -> GrossNumber:
-    """Coerce an int, Fraction, float or GrossNumber to a GrossNumber."""
+    """Coerce an int, Fraction or GrossNumber to a GrossNumber."""
     coerced = _coerce_operand(value)
     if coerced is NotImplemented:
         raise TypeError(f"cannot interpret {type(value).__name__} as a gross-number")
@@ -560,14 +538,6 @@ def make(terms: Iterable[Tuple[int, object]]) -> GrossNumber:
     return GrossNumber(terms)
 
 
-def add(a: Scalar, b: Scalar) -> GrossNumber:
-    return as_gross(a) + as_gross(b)
-
-
-def mul(a: Scalar, b: Scalar) -> GrossNumber:
-    return as_gross(a) * as_gross(b)
-
-
 def div(a: Scalar, b: Scalar, config: ArithConfig = DEFAULT_CONFIG) -> GrossNumber:
     return as_gross(a).divide(b, config)
 
@@ -577,19 +547,7 @@ def compare(a: Scalar, b: Scalar) -> int:
     return (as_gross(a) - as_gross(b)).sign()
 
 
-def sign(a: Scalar) -> int:
-    return as_gross(a).sign()
-
-
-def finite_part(a: Scalar) -> Digit:
-    return as_gross(a).finite_part()
-
-
-def coefficient(a: Scalar, power: int) -> Digit:
-    return as_gross(a).coefficient(power)
-
-
-def evaluate_at(a: Scalar, point) -> Digit:
+def evaluate_at(a: Scalar, point) -> Fraction:
     return as_gross(a).evaluate_at(point)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .arith import ArithConfig, GROSSONE, GrossNumber, ParseError
+from .arith import ArithConfig, GROSSONE, GrossNumber, ParseError, _Scanner
 from .penalty import (
     InfeasibleStationaryError,
     NewtonDivergenceError,
@@ -80,13 +80,12 @@ class RunConfig:
     entering: str = "dantzig"
     leaving: str = "grossone"
     truncation: int = 8
-    arith_mode: str = "rational"
     max_iter: int = 1000
     trace: bool = False
     seed: Optional[int] = None
 
     def arith_config(self) -> ArithConfig:
-        return ArithConfig(truncation_order=self.truncation, digit_mode=self.arith_mode)
+        return ArithConfig(truncation_order=self.truncation)
 
 
 def build_parser() -> _Parser:
@@ -122,7 +121,6 @@ def build_parser() -> _Parser:
     gross_eval = gross_sub.add_parser("eval", help="evaluate an expression over gross-numbers")
     gross_eval.add_argument("expression", help="e.g. 'G / (1 + 4*G)'; G is the infinite unit")
     gross_eval.add_argument("--trunc", type=int, default=8)
-    gross_eval.add_argument("--arith", choices=("rational", "float"), default="rational")
     return parser
 
 
@@ -134,7 +132,6 @@ def _run_config(namespace) -> RunConfig:
     cfg.entering = "fixed_order" if entering == "fixed" else entering
     cfg.leaving = getattr(namespace, "leaving", "grossone")
     cfg.truncation = getattr(namespace, "trunc", 8)
-    cfg.arith_mode = getattr(namespace, "arith", "rational")
     cfg.max_iter = getattr(namespace, "max_iter", 1000)
     cfg.trace = getattr(namespace, "trace", False)
     cfg.seed = getattr(namespace, "seed", None)
@@ -254,7 +251,7 @@ def cmd_nlp_penalty(cfg: RunConfig, out) -> int:
     return EXIT_KKT_UNVERIFIED
 
 
-class _GrossExprReader:
+class _GrossExprReader(_Scanner):
     """Calculator grammar over gross-number atoms.
 
     expr := term (('+'|'-') term)*     term := factor (('*'|'/') factor)*
@@ -262,35 +259,8 @@ class _GrossExprReader:
     """
 
     def __init__(self, text: str, config: ArithConfig):
-        self.text = text
-        self.pos = 0
+        super().__init__(text)
         self.config = config
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.text, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def read_uint(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an unsigned integer")
-        return int(self.text[start:self.pos])
-
-    def read_int(self) -> int:
-        sign = 1
-        if self.peek() in ("+", "-"):
-            if self.peek() == "-":
-                sign = -1
-            self.pos += 1
-        return sign * self.read_uint()
 
     def read_atom(self) -> GrossNumber:
         self.skip_ws()
@@ -299,9 +269,7 @@ class _GrossExprReader:
             self.pos += 1
             inner = self.read_expr()
             self.skip_ws()
-            if self.peek() != ")":
-                raise self.error("expected ')'")
-            self.pos += 1
+            self.expect(")")
             return inner
         if ch == "G":
             self.pos += 1
@@ -351,9 +319,7 @@ class _GrossExprReader:
 
     def read_all(self) -> GrossNumber:
         value = self.read_expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("unexpected trailing input")
+        self.expect_end()
         return value
 
 

@@ -38,7 +38,6 @@ from .polyexpr import (
     eval_gross,
     eval_rational,
     parse_expr,
-    variables,
 )
 
 __all__ = [
@@ -94,12 +93,12 @@ class NlpProblem:
             raise ValueError("dimension must be at least 1")
         everything = (self.objective,) + self.inequalities + self.equalities
         for expr in everything:
-            out_of_range = [i for i in variables(expr) if i >= self.dimension]
-            if out_of_range:
-                raise ValueError(
-                    f"expression uses variable index {max(out_of_range)} "
-                    f"but the dimension is {self.dimension}"
-                )
+            for monomial in expr:
+                if len(monomial) != self.dimension:
+                    raise ValueError(
+                        f"expression is in {len(monomial)} variables "
+                        f"but the dimension is {self.dimension}"
+                    )
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
-"""Multivariate polynomial expressions with rational coefficients.
+"""Multivariate polynomials with rational coefficients.
 
-Small AST (constants, variables, add, mul, neg, nonnegative integer powers)
-plus a parser, exact symbolic differentiation, and evaluation over either
-plain rationals or gross-number vectors.  Evaluation uses only addition and
-multiplication, so it is always exact; division never appears in the
-function class.
+A polynomial in x1..xn is a sparse map from exponent tuples of length n to
+nonzero ``Fraction`` coefficients: ``{(2, 0): 1/2, (0, 1): -1}`` is
+``1/2*x1^2 - x2``, and the zero polynomial is ``{}``.  The parser expands
+every expression into this canonical form, so two texts for the same
+polynomial give equal maps.  Differentiation is exact and stays in the same
+form, and evaluation over plain rationals or gross-number vectors uses only
+addition and multiplication, so it is always exact; division never appears
+in the function class.
 
 Grammar (variables are x1..xn):
 
@@ -12,220 +15,104 @@ Grammar (variables are x1..xn):
     term   := factor ('*' factor)*
     factor := ['-'] atom ['^' uint]
     atom   := rational | 'x' uint | '(' expr ')'
-
-Constant subexpressions are folded on construction; no other simplification
-is performed (correctness rests on evaluation, not on canonical forms).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Set, Union
+from typing import Dict, Sequence, Tuple, Union
 
-from .arith import GrossNumber, ParseError, as_gross
+from .arith import ZERO, GrossNumber, _Scanner, as_gross
 from .linalg import GrossVector
 
 __all__ = [
-    "Add",
-    "Const",
-    "Mul",
-    "Neg",
     "PolyExpr",
-    "Pow",
-    "Var",
-    "add_expr",
-    "const",
     "differentiate",
     "eval_gross",
     "eval_rational",
-    "mul_expr",
-    "neg_expr",
     "parse_expr",
-    "pow_expr",
-    "variables",
 ]
 
-
-class PolyExpr:
-    """Base class for polynomial expression nodes."""
-
-    __slots__ = ()
+PolyExpr = Dict[Tuple[int, ...], Fraction]
 
 
-@dataclass(frozen=True)
-class Const(PolyExpr):
-    value: Fraction
+def _add(a: PolyExpr, b: PolyExpr) -> PolyExpr:
+    result = dict(a)
+    for monomial, coefficient in b.items():
+        total = result.get(monomial, 0) + coefficient
+        if total:
+            result[monomial] = total
+        else:
+            del result[monomial]
+    return result
 
 
-@dataclass(frozen=True)
-class Var(PolyExpr):
-    index: int
+def _neg(a: PolyExpr) -> PolyExpr:
+    return {m: -c for m, c in a.items()}
 
 
-@dataclass(frozen=True)
-class Add(PolyExpr):
-    left: PolyExpr
-    right: PolyExpr
+def _mul(a: PolyExpr, b: PolyExpr) -> PolyExpr:
+    result: PolyExpr = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            monomial = tuple(i + j for i, j in zip(ma, mb))
+            result[monomial] = result.get(monomial, 0) + ca * cb
+    return {m: c for m, c in result.items() if c}
 
 
-@dataclass(frozen=True)
-class Mul(PolyExpr):
-    left: PolyExpr
-    right: PolyExpr
-
-
-@dataclass(frozen=True)
-class Neg(PolyExpr):
-    operand: PolyExpr
-
-
-@dataclass(frozen=True)
-class Pow(PolyExpr):
-    base: PolyExpr
-    exponent: int
-
-    def __post_init__(self) -> None:
-        if self.exponent < 0:
-            raise ValueError("polynomial exponents must be nonnegative")
-
-
-def const(value: Union[int, Fraction]) -> Const:
-    return Const(Fraction(value))
-
-
-def add_expr(left: PolyExpr, right: PolyExpr) -> PolyExpr:
-    if isinstance(left, Const) and isinstance(right, Const):
-        return Const(left.value + right.value)
-    return Add(left, right)
-
-
-def mul_expr(left: PolyExpr, right: PolyExpr) -> PolyExpr:
-    if isinstance(left, Const) and isinstance(right, Const):
-        return Const(left.value * right.value)
-    return Mul(left, right)
-
-
-def neg_expr(operand: PolyExpr) -> PolyExpr:
-    if isinstance(operand, Const):
-        return Const(-operand.value)
-    return Neg(operand)
-
-
-def pow_expr(base: PolyExpr, exponent: int) -> PolyExpr:
-    if isinstance(base, Const):
-        return Const(base.value ** exponent)
-    return Pow(base, exponent)
-
-
-def variables(expr: PolyExpr) -> Set[int]:
-    """Indices of the variables appearing in the expression."""
-    match expr:
-        case Const():
-            return set()
-        case Var(index=i):
-            return {i}
-        case Add(left=l, right=r) | Mul(left=l, right=r):
-            return variables(l) | variables(r)
-        case Neg(operand=e):
-            return variables(e)
-        case Pow(base=b):
-            return variables(b)
-    raise TypeError(f"not a PolyExpr node: {expr!r}")
+def _power(base: PolyExpr, exponent: int, one: PolyExpr) -> PolyExpr:
+    """Square-and-multiply, so a huge exponent of one monomial stays cheap."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = _mul(result, base)
+        exponent >>= 1
+        if exponent:
+            base = _mul(base, base)
+    return result
 
 
 def differentiate(expr: PolyExpr, var_index: int) -> PolyExpr:
-    """Exact symbolic partial derivative with respect to variable var_index."""
-    match expr:
-        case Const():
-            return Const(Fraction(0))
-        case Var(index=i):
-            return Const(Fraction(1 if i == var_index else 0))
-        case Add(left=l, right=r):
-            return add_expr(differentiate(l, var_index), differentiate(r, var_index))
-        case Mul(left=l, right=r):
-            return add_expr(
-                mul_expr(differentiate(l, var_index), r),
-                mul_expr(l, differentiate(r, var_index)),
-            )
-        case Neg(operand=e):
-            return neg_expr(differentiate(e, var_index))
-        case Pow(base=b, exponent=k):
-            if k == 0:
-                return Const(Fraction(0))
-            return mul_expr(
-                mul_expr(const(k), pow_expr(b, k - 1)),
-                differentiate(b, var_index),
-            )
-    raise TypeError(f"not a PolyExpr node: {expr!r}")
+    """Exact partial derivative with respect to variable var_index."""
+    return {
+        m[:var_index] + (m[var_index] - 1,) + m[var_index + 1:]: c * m[var_index]
+        for m, c in expr.items()
+        if m[var_index]
+    }
 
 
 def eval_rational(expr: PolyExpr, point: Sequence[Union[int, Fraction]]) -> Fraction:
     """Evaluate at a rational point; exact."""
-    match expr:
-        case Const(value=v):
-            return v
-        case Var(index=i):
-            return Fraction(point[i])
-        case Add(left=l, right=r):
-            return eval_rational(l, point) + eval_rational(r, point)
-        case Mul(left=l, right=r):
-            return eval_rational(l, point) * eval_rational(r, point)
-        case Neg(operand=e):
-            return -eval_rational(e, point)
-        case Pow(base=b, exponent=k):
-            return eval_rational(b, point) ** k
-    raise TypeError(f"not a PolyExpr node: {expr!r}")
+    total = Fraction(0)
+    for monomial, coefficient in expr.items():
+        term = coefficient
+        for i, k in enumerate(monomial):
+            if k:
+                term = term * Fraction(point[i]) ** k
+        total += term
+    return total
 
 
 def eval_gross(expr: PolyExpr, point: Union[GrossVector, Sequence]) -> GrossNumber:
     """Evaluate over a gross-number vector; exact (add/mul only)."""
-    match expr:
-        case Const(value=v):
-            return as_gross(v)
-        case Var(index=i):
-            return as_gross(point[i])
-        case Add(left=l, right=r):
-            return eval_gross(l, point) + eval_gross(r, point)
-        case Mul(left=l, right=r):
-            return eval_gross(l, point) * eval_gross(r, point)
-        case Neg(operand=e):
-            return -eval_gross(e, point)
-        case Pow(base=b, exponent=k):
-            return eval_gross(b, point).power(k)
-    raise TypeError(f"not a PolyExpr node: {expr!r}")
+    total = ZERO
+    for monomial, coefficient in expr.items():
+        term = as_gross(coefficient)
+        for i, k in enumerate(monomial):
+            if k:
+                value = as_gross(point[i])
+                term = term * (value if k == 1 else value.power(k))
+        total = total + term
+    return total
 
 
-class _ExprReader:
+class _ExprReader(_Scanner):
     """Recursive-descent reader for the expression grammar above."""
 
     def __init__(self, text: str, dimension: int):
-        self.text = text
-        self.pos = 0
+        super().__init__(text)
         self.dimension = dimension
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.text, self.pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, char: str) -> None:
-        if self.peek() != char:
-            raise self.error(f"expected {char!r}")
-        self.pos += 1
-
-    def read_uint(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected an unsigned integer")
-        return int(self.text[start:self.pos])
+        self.one: PolyExpr = {(0,) * dimension: Fraction(1)}
 
     def read_atom(self) -> PolyExpr:
         self.skip_ws()
@@ -245,18 +132,12 @@ class _ExprReader:
                 raise self.error(
                     f"variable x{ordinal} out of range (declared dimension {self.dimension})"
                 )
-            return Var(ordinal - 1)
+            monomial = [0] * self.dimension
+            monomial[ordinal - 1] = 1
+            return {tuple(monomial): Fraction(1)}
         if ch.isdigit():
-            numerator = self.read_uint()
-            if self.peek() == "/":
-                self.pos += 1
-                mark = self.pos
-                denominator = self.read_uint()
-                if denominator == 0:
-                    self.pos = mark
-                    raise self.error("zero denominator")
-                return Const(Fraction(numerator, denominator))
-            return Const(Fraction(numerator))
+            value = self.read_rational()
+            return {(0,) * self.dimension: value} if value else {}
         raise self.error("expected a rational, a variable, or '('")
 
     def read_factor(self) -> PolyExpr:
@@ -270,9 +151,8 @@ class _ExprReader:
         if self.peek() == "^":
             self.pos += 1
             self.skip_ws()
-            exponent = self.read_uint()
-            atom = pow_expr(atom, exponent)
-        return neg_expr(atom) if negate else atom
+            atom = _power(atom, self.read_uint(), self.one)
+        return _neg(atom) if negate else atom
 
     def read_term(self) -> PolyExpr:
         result = self.read_factor()
@@ -281,7 +161,7 @@ class _ExprReader:
             if self.peek() != "*":
                 return result
             self.pos += 1
-            result = mul_expr(result, self.read_factor())
+            result = _mul(result, self.read_factor())
 
     def read_expr(self) -> PolyExpr:
         result = self.read_term()
@@ -292,16 +172,14 @@ class _ExprReader:
                 return result
             self.pos += 1
             rhs = self.read_term()
-            result = add_expr(result, neg_expr(rhs) if op == "-" else rhs)
+            result = _add(result, _neg(rhs) if op == "-" else rhs)
 
 
 def parse_expr(text: str, dimension: int) -> PolyExpr:
-    """Parse an expression in variables x1..x<dimension>."""
+    """Parse an expression in variables x1..x<dimension> into canonical form."""
     if dimension < 0:
         raise ValueError("dimension must be nonnegative")
     reader = _ExprReader(text, dimension)
     expr = reader.read_expr()
-    reader.skip_ws()
-    if reader.pos != len(text):
-        raise reader.error("unexpected trailing input")
+    reader.expect_end()
     return expr

@@ -7,16 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from grossone.arith import GrossNumber
-from grossone.polyexpr import (
-    Add,
-    Const,
-    Mul,
-    Neg,
-    PolyExpr,
-    Pow,
-    Var,
-    eval_rational,
-)
+from grossone.polyexpr import PolyExpr, eval_rational
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -44,35 +35,31 @@ def random_gross(
             return value
 
 
-def random_expr(rng: random.Random, dimension: int, depth: int) -> PolyExpr:
-    if depth == 0 or rng.random() < 0.3:
+def random_expr(rng: random.Random, dimension: int, depth: int) -> str:
+    """Random expression text in x1..x<dimension>.  Operands are
+    parenthesized at random, so the text also exercises precedence and
+    left-to-right association."""
+    if depth == 0 or rng.random() < 0.2:
         if rng.random() < 0.5:
-            return Const(Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
-        return Var(rng.randrange(dimension))
-    choice = rng.randrange(4)
-    if choice == 0:
-        return Add(random_expr(rng, dimension, depth - 1), random_expr(rng, dimension, depth - 1))
-    if choice == 1:
-        return Mul(random_expr(rng, dimension, depth - 1), random_expr(rng, dimension, depth - 1))
-    if choice == 2:
-        return Neg(random_expr(rng, dimension, depth - 1))
-    return Pow(random_expr(rng, dimension, depth - 1), rng.randint(0, 3))
+            return f"{rng.randint(0, 4)}/{rng.randint(1, 4)}"
+        return f"x{rng.randrange(dimension) + 1}"
+
+    def operand() -> str:
+        text = random_expr(rng, dimension, depth - 1)
+        return f"({text})" if rng.random() < 0.5 else text
+
+    choice = rng.randrange(6)
+    if choice < 2:
+        return f"{operand()} {rng.choice('+-')} {operand()}"
+    if choice < 4:
+        return f"{operand()}*{operand()}"
+    if choice == 4:
+        return f"-({random_expr(rng, dimension, depth - 1)})"
+    return f"({random_expr(rng, dimension, depth - 1)})^{rng.randint(0, 3)}"
 
 
 def degree_bound(expr: PolyExpr) -> int:
-    if isinstance(expr, Const):
-        return 0
-    if isinstance(expr, Var):
-        return 1
-    if isinstance(expr, Add):
-        return max(degree_bound(expr.left), degree_bound(expr.right))
-    if isinstance(expr, Mul):
-        return degree_bound(expr.left) + degree_bound(expr.right)
-    if isinstance(expr, Neg):
-        return degree_bound(expr.operand)
-    if isinstance(expr, Pow):
-        return degree_bound(expr.base) * expr.exponent
-    raise TypeError(f"not a PolyExpr node: {expr!r}")
+    return max((sum(monomial) for monomial in expr), default=0)
 
 
 def lagrange_at_zero(nodes, values) -> Fraction:

@@ -42,19 +42,13 @@ def power(a: GrossNumber, exponent: int) -> GrossNumber:
     return result
 
 
-def _reciprocal(digit):
-    if isinstance(digit, float):
-        return 1.0 / digit
-    return Fraction(1) / digit
-
-
 def divide(a: GrossNumber, b: GrossNumber, config: ArithConfig = DEFAULT_CONFIG) -> GrossNumber:
     if b.is_zero():
         raise ZeroDivisionError("gross-number division by zero")
     q, beta = b.terms[0]
-    lead_reciprocal = GrossNumber([(-q, _reciprocal(beta))])
+    lead_reciprocal = GrossNumber([(-q, Fraction(1) / beta)])
     # r = b / (beta * G^q) - 1: strictly negative relative grosspowers.
-    tail = GrossNumber((p - q, d * _reciprocal(beta)) for p, d in b.terms[1:])
+    tail = GrossNumber((p - q, d / beta) for p, d in b.terms[1:])
     geometric = ONE
     acc = ONE
     for _ in range(config.truncation_order - 1):
@@ -68,8 +62,4 @@ def divide(a: GrossNumber, b: GrossNumber, config: ArithConfig = DEFAULT_CONFIG)
     if not tail.is_zero() and not result.is_zero():
         cutoff = result.leading_power - config.truncation_order
         result = GrossNumber((p, d) for p, d in result.terms if p >= cutoff)
-    if config.digit_mode == "float":
-        result = GrossNumber(
-            (p, float(d)) for p, d in result.terms if abs(d) > config.float_zero_tol
-        )
     return result

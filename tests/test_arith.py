@@ -20,6 +20,8 @@ from grossone.arith import (
     parse,
     to_text,
 )
+from grossone.cli import _GrossExprReader
+from grossone.polyexpr import parse_expr
 
 from helpers import random_gross
 
@@ -60,6 +62,26 @@ class TestNormalization:
     def test_rejects_non_numeric_digit(self):
         with pytest.raises(TypeError):
             make([(0, "1")])
+
+    def test_rejects_float_digit(self):
+        with pytest.raises(TypeError):
+            make([(0, 0.5)])
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda: G + 0.5,
+            lambda: 0.5 - G,
+            lambda: G * 0.5,
+            lambda: G / 0.5,
+            lambda: G < 0.5,
+            lambda: div(G, 0.5),
+            lambda: compare(G, 0.5),
+        ],
+    )
+    def test_rejects_float_operand(self, operation):
+        with pytest.raises(TypeError):
+            operation()
 
 
 class TestAddition:
@@ -265,21 +287,40 @@ class TestText:
         assert info.value.pos >= 0
 
 
+class TestScanner:
+    """The three readers share one scanner; their messages and positions
+    are pinned here."""
+
+    @pytest.mark.parametrize(
+        "reader, text, message",
+        [
+            ("gross", "1/0", "zero denominator at position 2: '0'"),
+            ("gross", "1G^", "expected an unsigned integer at position 3: '<end of input>'"),
+            ("gross", "2x", "expected '+' or '-' at position 1: 'x'"),
+            ("poly", "1/0", "zero denominator at position 2: '0'"),
+            ("poly", "1//2", "expected an unsigned integer at position 2: '/2'"),
+            ("poly", "(x1", "expected ')' at position 3: '<end of input>'"),
+            ("poly", "x1 x2", "unexpected trailing input at position 3: 'x2'"),
+            ("poly", "x3", "variable x3 out of range (declared dimension 2) at position 1: '3'"),
+            ("calc", "(G", "expected ')' at position 2: '<end of input>'"),
+            ("calc", "G G", "unexpected trailing input at position 2: 'G'"),
+            ("calc", "2^x", "expected an unsigned integer at position 2: 'x'"),
+            ("calc", "G +", "expected a number, 'G', or '(' at position 3: '<end of input>'"),
+        ],
+    )
+    def test_messages_and_positions(self, reader, text, message):
+        read = {
+            "gross": parse,
+            "poly": lambda t: parse_expr(t, 2),
+            "calc": lambda t: _GrossExprReader(t, DEFAULT_CONFIG).read_all(),
+        }[reader]
+        with pytest.raises(ParseError) as info:
+            read(text)
+        assert str(info.value) == message
+
+
 class TestConfig:
     def test_truncation_order_must_be_positive(self):
         with pytest.raises(ValueError):
             ArithConfig(truncation_order=0)
 
-    def test_rational_mode_requires_zero_tol(self):
-        with pytest.raises(ValueError):
-            ArithConfig(float_zero_tol=1e-12)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            ArithConfig(digit_mode="decimal")
-
-    def test_float_mode(self):
-        config = ArithConfig(digit_mode="float", float_zero_tol=1e-9)
-        quotient = div(G, ONE + 4 * G, config)
-        assert isinstance(quotient.coefficient(0), float)
-        assert quotient.coefficient(0) == pytest.approx(0.25)

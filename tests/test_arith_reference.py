@@ -12,9 +12,6 @@ from grossone.arith import ArithConfig, GrossNumber
 F = Fraction
 
 rational_digits = st.fractions(min_value=F(-100), max_value=F(100), max_denominator=100)
-# Floats on a 1/1000 grid keep the series far from overflow while still
-# rounding, so equal results mean equal operations in equal order.
-float_digits = st.integers(min_value=-10**6, max_value=10**6).map(lambda n: n / 1000)
 powers = st.integers(min_value=-6, max_value=6)
 
 
@@ -23,26 +20,17 @@ def gross_numbers(digits, max_size=6):
 
 
 rational_gross = gross_numbers(rational_digits)
-mixed_gross = gross_numbers(st.one_of(rational_digits, float_digits))
 orders = st.integers(min_value=1, max_value=12)
-modes = st.sampled_from(["rational", "float"])
 
 
-@given(a=rational_gross, b=rational_gross.filter(bool), order=orders, mode=modes)
+@given(a=rational_gross, b=rational_gross.filter(bool), order=orders)
 @settings(deadline=None, max_examples=200)
-def test_divide_matches_reference(a, b, order, mode):
-    config = ArithConfig(truncation_order=order, digit_mode=mode)
+def test_divide_matches_reference(a, b, order):
+    config = ArithConfig(truncation_order=order)
     assert a.divide(b, config).terms == ref.divide(a, b, config).terms
 
 
-@given(a=mixed_gross, b=mixed_gross.filter(bool), order=orders, mode=modes)
-@settings(deadline=None, max_examples=100)
-def test_divide_matches_reference_with_float_digits(a, b, order, mode):
-    config = ArithConfig(truncation_order=order, digit_mode=mode)
-    assert a.divide(b, config).terms == ref.divide(a, b, config).terms
-
-
-@given(a=mixed_gross, b=mixed_gross)
+@given(a=rational_gross, b=rational_gross)
 @settings(deadline=None, max_examples=200)
 def test_ring_operations_match_reference(a, b):
     assert (a + b).terms == ref.add(a, b).terms

@@ -53,10 +53,9 @@ class TestGrossEval:
         assert run(["gross", "eval", "G^-99999999"]) == (0, "G^-99999999\n")
         assert time.perf_counter() - start < 5
 
-    def test_float_mode(self):
-        code, out = run(["gross", "eval", "G / (1 + 4*G)", "--arith", "float", "--trunc", "2"])
-        assert code == 0
-        assert out == "0.25 - 0.0625G^-1\n"
+    def test_arith_flag_is_a_usage_error(self):
+        code, out = run(["gross", "eval", "G / (1 + 4*G)", "--arith", "rational"])
+        assert (code, out) == (64, "")
 
 
 class TestLpSolve:
@@ -153,6 +152,21 @@ class TestLpCompare:
 
 
 class TestNlpPenalty:
+    @pytest.mark.parametrize("name", ["quadratic_equality", "linear_bound"])
+    def test_report_matches_golden_file(self, name):
+        code, out = run(["nlp", "penalty", str(INSTANCE_DIR / f"{name}.nlp")])
+        assert code == 0
+        assert out == (DATA_DIR / f"{name}.out").read_text()
+
+    def test_huge_monomial_exponent_is_fast(self, tmp_path):
+        path = tmp_path / "huge.nlp"
+        path.write_text("n 1\nf: x1^99999999\n")
+        start = time.perf_counter()
+        code, out = run(["nlp", "penalty", str(path)])
+        assert code == 0
+        assert "x0 = (0)" in out and "KKT VERIFIED" in out
+        assert time.perf_counter() - start < 5
+
     def test_equality_example(self):
         code, out = run(["nlp", "penalty", QUADRATIC])
         assert code == 0

@@ -64,6 +64,8 @@ class TestParseNlp:
     def test_problem_validates_dimension(self):
         with pytest.raises(ValueError):
             NlpProblem(1, parse_expr("x1 + x2", 2))
+        with pytest.raises(ValueError):
+            NlpProblem(3, parse_expr("x1", 1))
 
 
 class TestPenaltyGradient:

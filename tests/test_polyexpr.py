@@ -3,46 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+import reference_poly
 from grossone.arith import ParseError, make
 from grossone.linalg import GrossVector
-from grossone.polyexpr import (
-    Add,
-    Const,
-    Mul,
-    Neg,
-    Pow,
-    Var,
-    differentiate,
-    eval_gross,
-    eval_rational,
-    parse_expr,
-    variables,
-)
+from grossone.polyexpr import differentiate, eval_gross, eval_rational, parse_expr
 
 from helpers import (
     derivative_by_central_differences,
     random_expr,
     random_fraction,
+    random_gross,
 )
 
 F = Fraction
-
-GRID = [
-    (F(0), F(0)),
-    (F(1), F(-1)),
-    (F(1, 2), F(3)),
-    (F(-2, 3), F(5, 7)),
-    (F(4), F(1, 9)),
-]
-
-
-def assert_same_polynomial(left, right, dimension=2):
-    rng = random.Random(99)
-    points = list(GRID) + [
-        tuple(random_fraction(rng, 20) for _ in range(dimension)) for _ in range(10)
-    ]
-    for point in points:
-        assert eval_rational(left, point[:dimension]) == eval_rational(right, point[:dimension])
 
 
 class TestParse:
@@ -54,11 +27,15 @@ class TestParse:
         expr = parse_expr("1 - x1", 1)
         assert eval_rational(expr, [F(1, 4)]) == F(3, 4)
 
-    def test_zero_polynomial_with_nonzero_ast(self):
-        expr = parse_expr("x1*x2 - x2*x1", 2)
-        assert not isinstance(expr, Const)
-        for point in GRID:
-            assert eval_rational(expr, point) == 0
+    def test_cancellation_gives_zero_polynomial(self):
+        assert parse_expr("x1*x2 - x2*x1", 2) == {}
+        assert parse_expr("0*x1 + 0", 1) == {}
+
+    def test_canonical_form(self):
+        assert parse_expr("(1+x1)^2", 1) == parse_expr("1 + 2*x1 + x1^2", 1)
+        assert parse_expr(" x2*x1 - 1/2 ", 2) == {(1, 1): F(1), (0, 0): F(-1, 2)}
+        assert parse_expr("(x1 - x2)^0", 2) == {(0, 0): F(1)}
+        assert parse_expr("-x1^99999999", 1) == {(99999999,): F(-1)}
 
     def test_precedence_power_before_unary_minus(self):
         expr = parse_expr("-x1^2", 1)
@@ -73,7 +50,7 @@ class TestParse:
         assert eval_rational(expr, [F(1)]) == 8
 
     def test_constant_folding(self):
-        assert parse_expr("2*3 + 1/2", 1) == Const(F(13, 2))
+        assert parse_expr("2*3 + 1/2", 1) == {(0,): F(13, 2)}
 
     def test_variable_out_of_range(self):
         with pytest.raises(ParseError):
@@ -88,31 +65,36 @@ class TestParse:
         assert info.value.pos >= 0
 
     def test_variables(self):
-        expr = parse_expr("x1*x3 + 2", 3)
-        assert variables(expr) == {0, 2}
+        # Each monomial has one exponent per declared variable.
+        assert parse_expr("x1*x3 + 2", 3) == {(1, 0, 1): F(1), (0, 0, 0): F(2)}
 
 
 class TestDifferentiate:
     def test_half_square(self):
         expr = parse_expr("1/2*x1^2", 2)
-        assert_same_polynomial(differentiate(expr, 0), Var(0))
+        assert differentiate(expr, 0) == parse_expr("x1", 2)
 
     def test_sixth_square_second_variable(self):
         expr = parse_expr("1/6*x2^2", 2)
-        assert_same_polynomial(differentiate(expr, 1), Mul(Const(F(1, 3)), Var(1)))
+        assert differentiate(expr, 1) == parse_expr("1/3*x2", 2)
 
     def test_constant_derivative_is_zero(self):
-        assert_same_polynomial(differentiate(Const(F(7, 3)), 0), Const(F(0)))
+        assert differentiate(parse_expr("7/3", 1), 0) == {}
 
     def test_other_variable_is_constant(self):
         expr = parse_expr("x1^2", 2)
-        assert_same_polynomial(differentiate(expr, 1), Const(F(0)))
+        assert differentiate(expr, 1) == {}
+
+    def test_mixed_monomial(self):
+        expr = parse_expr("3*x1^2*x2 - x2", 2)
+        assert differentiate(expr, 0) == parse_expr("6*x1*x2", 2)
+        assert differentiate(expr, 1) == parse_expr("3*x1^2 - 1", 2)
 
     def test_against_central_difference_oracle(self):
         rng = random.Random(314)
         for _ in range(25):
             dimension = rng.randint(1, 3)
-            expr = random_expr(rng, dimension, depth=3)
+            expr = parse_expr(random_expr(rng, dimension, depth=3), dimension)
             index = rng.randrange(dimension)
             point = [random_fraction(rng, 5) for _ in range(dimension)]
             derivative = differentiate(expr, index)
@@ -121,12 +103,39 @@ class TestDifferentiate:
             )
 
 
+class TestAgainstReference:
+    """Expanded polynomials against direct evaluation of the same text."""
+
+    def test_eval_rational_matches_text(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            dimension = rng.randint(1, 3)
+            text = random_expr(rng, dimension, depth=4)
+            point = [random_fraction(rng, 5) for _ in range(dimension)]
+            assert eval_rational(parse_expr(text, dimension), point) == reference_poly.evaluate(
+                text, point
+            ), text
+
+    def test_eval_gross_matches_text(self):
+        rng = random.Random(4048)
+        for _ in range(200):
+            dimension = rng.randint(1, 3)
+            text = random_expr(rng, dimension, depth=3)
+            point = GrossVector(
+                [random_gross(rng, max_terms=3, power_low=-2, power_high=1, bound=5)
+                 for _ in range(dimension)]
+            )
+            assert eval_gross(parse_expr(text, dimension), point) == reference_poly.evaluate(
+                text, point
+            ), text
+
+
 class TestEvalGross:
     def test_matches_rational_on_finite_points(self):
         rng = random.Random(27)
         for _ in range(20):
             dimension = rng.randint(1, 3)
-            expr = random_expr(rng, dimension, depth=3)
+            expr = parse_expr(random_expr(rng, dimension, depth=3), dimension)
             point = [random_fraction(rng, 5) for _ in range(dimension)]
             gross_value = eval_gross(expr, GrossVector(point))
             assert gross_value.finite_part() == eval_rational(expr, point)
@@ -148,7 +157,7 @@ class TestEvalGross:
         assert value == make([(-1, 1)])
 
     def test_constant(self):
-        assert eval_gross(Const(F(5, 2)), GrossVector([0])) == make([(0, F(5, 2))])
+        assert eval_gross(parse_expr("5/2", 1), GrossVector([0])) == make([(0, F(5, 2))])
 
     def test_first_order_taylor_identity(self):
         # For x = x0 + G^-1 x1 the order-0 coefficient is the value at x0 and
@@ -156,7 +165,7 @@ class TestEvalGross:
         rng = random.Random(555)
         for _ in range(20):
             dimension = rng.randint(1, 3)
-            expr = random_expr(rng, dimension, depth=3)
+            expr = parse_expr(random_expr(rng, dimension, depth=3), dimension)
             base = [random_fraction(rng, 5) for _ in range(dimension)]
             direction = [random_fraction(rng, 5) for _ in range(dimension)]
             point = GrossVector([
@@ -171,12 +180,3 @@ class TestEvalGross:
             )
             assert value.coefficient(-1) == directional
 
-
-class TestNodes:
-    def test_pow_rejects_negative_exponent(self):
-        with pytest.raises(ValueError):
-            Pow(Var(0), -1)
-
-    def test_nodes_are_hashable(self):
-        seen = {Add(Var(0), Const(F(1))), Neg(Var(1))}
-        assert Add(Var(0), Const(F(1))) in seen
