@@ -52,6 +52,7 @@ from .simplex import (
     RatioTieError,
     SolveOutcome,
     SolveStatus,
+    Tableau,
     choose_entering,
     enumerate_vertices_oracle,
     parse_lp,

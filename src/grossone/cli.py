@@ -137,6 +137,8 @@ def _run_config(namespace) -> RunConfig:
     cfg.seed = getattr(namespace, "seed", None)
     if cfg.truncation < 1:
         raise _UsageError("--trunc must be at least 1")
+    if cfg.max_iter < 1:
+        raise _UsageError("--max-iter must be at least 1")
     return cfg
 
 

@@ -6,9 +6,11 @@ pivoting picks the entry with the greatest leading grosspower, then the
 largest leading-digit magnitude, so the algorithm never divides by an
 infinitesimal while a larger-order pivot is available.
 
-The rational helpers (solve_columns, solve_vector, rank) run plain exact
-Gaussian elimination on Fraction matrices; they back the simplex iterations
-and the constraint-qualification rank checks.
+The rational helpers (solve_rational_columns, solve_rational_vector,
+rational_rank) run plain exact Gaussian elimination on Fraction matrices.
+They build the starting tableau of each simplex solve and back the
+lexicographic oracle, the vertex enumeration, the instance generator and
+the constraint-qualification rank checks.
 """
 
 from __future__ import annotations

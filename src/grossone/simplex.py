@@ -16,10 +16,13 @@ or a fixed user-supplied preference order.  Leaving rules:
   ``A_B^-1 A_B0``, in plain rational arithmetic.  It is the independent
   oracle: it must select the same row as the grossone rule at every pivot.
 
-All iteration linear algebra is exact (fresh rational solves per pivot; no
-factorization updates — instances are desk-scale).  Every pivot is logged in
-a PivotTrace, including the perturbed objective as a gross-number, which
-strictly decreases under the grossone rule.
+All iteration linear algebra is exact.  A solve factorizes once: phase one
+builds a Tableau with one rational solve, and every later pivot, in phase
+one and phase two, is an exact rank-one update of it.  The grossone rule,
+the reduced costs and the perturbed objective all read that tableau; only
+the lexicographic oracle solves with the basis matrix afresh at each pivot.
+Every pivot is logged in a PivotTrace, including the perturbed objective as
+a gross-number, which strictly decreases under the grossone rule.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .arith import GrossNumber, ZERO, as_gross, compare
+from .arith import GrossNumber, as_gross, compare
 from .linalg import (
     GrossVector,
     SingularMatrixError,
@@ -50,6 +53,7 @@ __all__ = [
     "RatioTieError",
     "SolveOutcome",
     "SolveStatus",
+    "Tableau",
     "choose_entering",
     "enumerate_vertices_oracle",
     "parse_lp",
@@ -192,26 +196,72 @@ class SolveOutcome:
     final_objective: Optional[GrossNumber] = None
 
 
-# -- per-basis computations ------------------------------------------------------
+# -- the tableau ------------------------------------------------------------------
 
 
-def _basis_matrix(lp: LpStandardForm, basis: Basis) -> List[List[Fraction]]:
-    return [[lp.a[i][j] for j in basis] for i in range(lp.m)]
+class Tableau:
+    """Exact simplex tableau of an ordered basis, kept current by pivots.
+
+    ``rows`` holds ``A_B^-1 [A | b]`` (m rows of n + 1 entries) and
+    ``objective`` the reduced-cost row ``d_j = c_j - c_B . rows[:, j]``,
+    whose last entry is ``-c_B . x_B``.  The constructor makes one rational
+    solve; ``pivot`` is an exact Gauss-Jordan rank-one update of all m + 1
+    rows, so no later basis is ever factorized afresh.  Because row k of the
+    tableau belongs to basis position k, ``A_B^-1 A_B0`` is simply the
+    tableau's columns at the initial basis B0.
+    """
+
+    __slots__ = ("lp", "basis", "rows", "objective")
+
+    def __init__(self, lp: LpStandardForm, basis: Basis, rows: Optional[List[List[Fraction]]] = None):
+        """Solve for ``A_B^-1 [A | b]``, or adopt ``rows`` already equal to it."""
+        if rows is None:
+            a_b = [[lp.a[i][j] for j in basis] for i in range(lp.m)]
+            columns = solve_rational_columns(a_b, [lp.column(j) for j in range(lp.n)] + [lp.b])
+            rows = [[column[i] for column in columns] for i in range(lp.m)]
+        self.lp = lp
+        self.basis = basis
+        self.rows = rows
+        basic_costs = [lp.c[j] for j in basis]
+        self.objective = [
+            cost - sum(cb * row[j] for cb, row in zip(basic_costs, rows) if cb)
+            for j, cost in enumerate(lp.c + (Fraction(0),))
+        ]
+
+    def pivot(self, row: int, entering: int) -> None:
+        """Bring column ``entering`` into basis position ``row``."""
+        pivot_row = self.rows[row]
+        scale = pivot_row[entering]
+        pivot_row = [v / scale for v in pivot_row]
+        self.rows[row] = pivot_row
+        for i, other in enumerate(self.rows):
+            if i != row:
+                self.rows[i] = _eliminate(other, pivot_row, entering)
+        self.objective = _eliminate(self.objective, pivot_row, entering)
+        self.basis = self.basis.replaced(row, entering)
+
+    def point(self) -> Tuple[Tuple[Fraction, ...], Fraction]:
+        """The basic solution x and its objective value <c, x>."""
+        x = [Fraction(0)] * self.lp.n
+        for position, j in enumerate(self.basis):
+            x[j] = self.rows[position][-1]
+        value = sum(cj * xj for cj, xj in zip(self.lp.c, x))
+        return tuple(x), value
 
 
-def basic_solution(lp: LpStandardForm, basis: Basis) -> List[Fraction]:
-    """x_B = A_B^-1 b."""
-    return solve_rational_vector(_basis_matrix(lp, basis), lp.b)
+def _eliminate(target: List[Fraction], pivot_row: List[Fraction], column: int) -> List[Fraction]:
+    factor = target[column]
+    if not factor:
+        return target
+    return [a - factor * b if b else a for a, b in zip(target, pivot_row)]
 
 
-def reduced_costs(lp: LpStandardForm, basis: Basis) -> Dict[int, Fraction]:
-    """Exact reduced costs of the nonbasic columns (pricing vector solve)."""
-    transpose = [[lp.a[i][j] for i in range(lp.m)] for j in basis]
-    prices = solve_rational_vector(transpose, [lp.c[j] for j in basis])
-    costs: Dict[int, Fraction] = {}
-    for j in basis.complement(lp.n):
-        costs[j] = lp.c[j] - sum(lp.a[i][j] * prices[i] for i in range(lp.m))
-    return costs
+# -- readers of the tableau ------------------------------------------------------------
+
+
+def reduced_costs(tableau: Tableau) -> Dict[int, Fraction]:
+    """Exact reduced costs of the nonbasic columns."""
+    return {j: tableau.objective[j] for j in tableau.basis.complement(tableau.lp.n)}
 
 
 def choose_entering(
@@ -237,62 +287,57 @@ def choose_entering(
     raise ValueError(f"unknown entering rule {rule!r}")
 
 
-def _entering_direction(lp: LpStandardForm, basis: Basis, entering: int) -> List[Fraction]:
-    return solve_rational_vector(_basis_matrix(lp, basis), lp.column(entering))
-
-
-def perturbed_rhs(lp: LpStandardForm, basis: Basis, base_basis: Basis) -> GrossVector:
+def perturbed_rhs(tableau: Tableau, base_basis: Basis) -> GrossVector:
     """A_B^-1 b + (A_B^-1 A_B0) e with e = (G^-1, ..., G^-m).
 
     The finite part of each entry is exactly (A_B^-1 b)_i; the perturbation
     only adds infinitesimals.
     """
-    a_b = _basis_matrix(lp, basis)
-    xb = solve_rational_vector(a_b, lp.b)
-    carried = solve_rational_columns(a_b, [lp.column(j) for j in base_basis])
     entries = []
-    for i in range(lp.m):
-        terms = [(0, xb[i])]
-        terms.extend((-(k + 1), carried[k][i]) for k in range(len(base_basis)))
+    for row in tableau.rows:
+        terms = [(0, row[-1])]
+        terms.extend((-(k + 1), row[j]) for k, j in enumerate(base_basis))
         entries.append(GrossNumber(terms))
     return GrossVector(entries)
 
 
-def perturbed_objective(lp: LpStandardForm, basis: Basis, base_basis: Basis) -> GrossNumber:
-    """Objective of the perturbed problem at the current basis, a gross-number."""
-    rhs = perturbed_rhs(lp, basis, base_basis)
-    total = ZERO
-    for position, j in enumerate(basis):
-        total = total + rhs[position] * as_gross(lp.c[j])
-    return total
+def perturbed_objective(tableau: Tableau, base_basis: Basis) -> GrossNumber:
+    """Objective of the perturbed problem at the current basis, a gross-number.
+
+    It is ``c_B . (perturbed rhs)``: the finite part ``c_B . x_B`` is minus
+    the last objective-row entry, and the coefficient of G^-(k+1) is
+    ``c_B . A_B^-1 A_B0[k] = c_B0[k] - d_B0[k]``.
+    """
+    d = tableau.objective
+    c = tableau.lp.c
+    terms = [(0, -d[-1])]
+    terms.extend((-(k + 1), c[j] - d[j]) for k, j in enumerate(base_basis))
+    return GrossNumber(terms)
 
 
 # -- leaving rules ----------------------------------------------------------------
 
 
-def ratio_test_plain(lp: LpStandardForm, basis: Basis, entering: int) -> Optional[int]:
+def ratio_test_plain(tableau: Tableau, entering: int) -> Optional[int]:
     """Textbook ratio test; ties go to the smallest basis position.
 
     Returns the leaving row, or None when the entering direction is
     nonpositive (problem unbounded below).  The tie-break deliberately
     reproduces classic cycling on degenerate instances.
     """
-    direction = _entering_direction(lp, basis, entering)
-    xb = basic_solution(lp, basis)
     best_row = None
     best_ratio = None
-    for i in range(lp.m):
-        if direction[i] <= 0:
+    for i, row in enumerate(tableau.rows):
+        if row[entering] <= 0:
             continue
-        ratio = xb[i] / direction[i]
+        ratio = row[-1] / row[entering]
         if best_ratio is None or ratio < best_ratio:
             best_row, best_ratio = i, ratio
     return best_row
 
 
 def ratio_test_grossone(
-    lp: LpStandardForm,
-    basis: Basis,
+    tableau: Tableau,
     base_basis: Basis,
     entering: int,
 ) -> Optional[int]:
@@ -304,11 +349,11 @@ def ratio_test_grossone(
     tie means the rows of A_B^-1 A_B0 were not independent and raises
     RatioTieError.
     """
-    direction = _entering_direction(lp, basis, entering)
-    candidate_rows = [i for i in range(lp.m) if direction[i] > 0]
+    direction = [row[entering] for row in tableau.rows]
+    candidate_rows = [i for i, v in enumerate(direction) if v > 0]
     if not candidate_rows:
         return None
-    rhs = perturbed_rhs(lp, basis, base_basis)
+    rhs = perturbed_rhs(tableau, base_basis)
     ratios = {i: rhs[i] * as_gross(1 / direction[i]) for i in candidate_rows}
     best_row = candidate_rows[0]
     for i in candidate_rows[1:]:
@@ -332,19 +377,19 @@ def ratio_test_lexicographic(
     """Classical lexicographic leaving rule, rational arithmetic only.
 
     Minimum ratio first; surviving ties are broken column by column of
-    A_B^-1 A_B0 until a single row remains.
+    A_B^-1 A_B0 until a single row remains.  It is the independent oracle for
+    the grossone rule, so it reads no tableau: every quantity comes from
+    fresh solves with the basis matrix.
     """
-    direction = _entering_direction(lp, basis, entering)
+    a_b = [[lp.a[i][j] for j in basis] for i in range(lp.m)]
+    direction, xb = solve_rational_columns(a_b, [lp.column(entering), lp.b])
     candidate_rows = [i for i in range(lp.m) if direction[i] > 0]
     if not candidate_rows:
         return None
-    xb = basic_solution(lp, basis)
     survivors = _argmin_rows(candidate_rows, {i: xb[i] / direction[i] for i in candidate_rows})
     if len(survivors) == 1:
         return survivors[0]
-    carried = solve_rational_columns(
-        _basis_matrix(lp, basis), [lp.column(j) for j in base_basis]
-    )
+    carried = solve_rational_columns(a_b, [lp.column(j) for j in base_basis])
     for k in range(len(base_basis)):
         survivors = _argmin_rows(
             survivors, {i: carried[k][i] / direction[i] for i in survivors}
@@ -364,78 +409,65 @@ def _argmin_rows(rows: Sequence[int], values: Mapping[int, Fraction]) -> List[in
 # -- the simplex loop --------------------------------------------------------------
 
 
-def _leaving_row(lp, basis, base_basis, entering, rule):
+def _leaving_row(tableau, base_basis, entering, rule):
     if rule == "plain":
-        return ratio_test_plain(lp, basis, entering)
+        return ratio_test_plain(tableau, entering)
     if rule == "grossone":
-        return ratio_test_grossone(lp, basis, base_basis, entering)
+        return ratio_test_grossone(tableau, base_basis, entering)
     if rule == "lexicographic":
-        return ratio_test_lexicographic(lp, basis, base_basis, entering)
+        return ratio_test_lexicographic(tableau.lp, tableau.basis, base_basis, entering)
     raise ValueError(f"unknown leaving rule {rule!r}")
 
 
-def _point_from_basis(lp: LpStandardForm, basis: Basis) -> Tuple[Tuple[Fraction, ...], Fraction]:
-    xb = basic_solution(lp, basis)
-    x = [Fraction(0)] * lp.n
-    for position, j in enumerate(basis):
-        x[j] = xb[position]
-    value = sum(cj * xj for cj, xj in zip(lp.c, x))
-    return tuple(x), value
-
-
 def _simplex_loop(
-    lp: LpStandardForm,
-    start: Basis,
+    tableau: Tableau,
     entering_rule: str,
     leaving_rule: str,
     order: Optional[Sequence[int]],
     max_iter: int,
 ) -> SolveOutcome:
-    base_basis = start
-    basis = start
+    """Pivot ``tableau`` in place from its current basis, which becomes B0."""
+    base_basis = tableau.basis
     trace = PivotTrace()
-    visited = {start.indices}
+    visited = {base_basis.indices}
+
+    def outcome(status: SolveStatus, point=(None, None)) -> SolveOutcome:
+        return SolveOutcome(
+            status, *point, trace,
+            tableau.basis, perturbed_objective(tableau, base_basis),
+        )
+
     for iteration in range(1, max_iter + 1):
-        costs = reduced_costs(lp, basis)
+        costs = reduced_costs(tableau)
         entering = choose_entering(costs, entering_rule, order)
         if entering is None:
-            x, value = _point_from_basis(lp, basis)
-            return SolveOutcome(
-                SolveStatus.OPTIMAL, x, value, trace,
-                basis, perturbed_objective(lp, basis, base_basis),
-            )
-        row = _leaving_row(lp, basis, base_basis, entering, leaving_rule)
+            return outcome(SolveStatus.OPTIMAL, tableau.point())
+        row = _leaving_row(tableau, base_basis, entering, leaving_rule)
         if row is None:
-            return SolveOutcome(
-                SolveStatus.UNBOUNDED, None, None, trace,
-                basis, perturbed_objective(lp, basis, base_basis),
-            )
+            return outcome(SolveStatus.UNBOUNDED)
         trace.events.append(PivotEvent(
-            iteration, basis.indices, entering, basis.indices[row],
-            perturbed_objective(lp, basis, base_basis),
+            iteration, tableau.basis.indices, entering, tableau.basis.indices[row],
+            perturbed_objective(tableau, base_basis),
         ))
-        basis = basis.replaced(row, entering)
-        if basis.indices in visited:
-            return SolveOutcome(
-                SolveStatus.CYCLE_DETECTED, None, None, trace,
-                basis, perturbed_objective(lp, basis, base_basis),
-            )
-        visited.add(basis.indices)
-    return SolveOutcome(
-        SolveStatus.ITERATION_LIMIT, None, None, trace,
-        basis, perturbed_objective(lp, basis, base_basis),
-    )
+        tableau.pivot(row, entering)
+        if tableau.basis.indices in visited:
+            return outcome(SolveStatus.CYCLE_DETECTED)
+        visited.add(tableau.basis.indices)
+    return outcome(SolveStatus.ITERATION_LIMIT)
 
 
-def phase1(lp: LpStandardForm, max_iter: int = 10_000) -> Optional[Basis]:
-    """Find a feasible ordered basis, or None when the LP is infeasible.
+def phase1(lp: LpStandardForm, max_iter: int = 10_000) -> Optional[Tableau]:
+    """Find the tableau of a feasible ordered basis, or None when the LP is
+    infeasible.
 
     Rows with negative right-hand side are sign-flipped, existing unit
     columns are reused, and artificial variables cover the remaining rows.
     The auxiliary problem runs with the grossone leaving rule, so phase one
     itself cannot cycle.  Artificial columns still basic (at zero) after the
     auxiliary solve are pivoted out; if one cannot be, A has rank < m and
-    RankDeficiencyError is raised.
+    RankDeficiencyError is raised.  The returned tableau is the auxiliary
+    one without its artificial columns: the row sign flips D cancel, as
+    ``(D A_B)^-1 D A = A_B^-1 A``.
     """
     m, n = lp.m, lp.n
     rows = [list(row) for row in lp.a]
@@ -456,7 +488,7 @@ def phase1(lp: LpStandardForm, max_iter: int = 10_000) -> Optional[Basis]:
                 used.add(j)
                 break
     if len(unit_for_row) == m:
-        return Basis(tuple(unit_for_row[i] for i in range(m)))
+        return Tableau(lp, Basis(tuple(unit_for_row[i] for i in range(m))))
 
     artificial_rows = [i for i in range(m) if i not in unit_for_row]
     aux_rows = [
@@ -473,34 +505,27 @@ def phase1(lp: LpStandardForm, max_iter: int = 10_000) -> Optional[Basis]:
         else:
             start_indices.append(next_artificial)
             next_artificial += 1
-    outcome = _simplex_loop(
-        aux_lp, Basis(tuple(start_indices)), "dantzig", "grossone", None, max_iter
-    )
+    tableau = Tableau(aux_lp, Basis(tuple(start_indices)))
+    outcome = _simplex_loop(tableau, "dantzig", "grossone", None, max_iter)
     if outcome.status is not SolveStatus.OPTIMAL:
         raise RuntimeError(f"auxiliary solve ended with status {outcome.status}")
     if outcome.value > 0:
         return None
 
-    basis = outcome.final_basis
-    while True:
-        position = next((p for p, j in enumerate(basis) if j >= n), None)
-        if position is None:
-            break
-        a_b = [[aux_lp.a[i][j] for j in basis] for i in range(m)]
-        replacement = None
-        for j in range(n):
-            if j in basis:
-                continue
-            carried = solve_rational_columns(a_b, [aux_lp.column(j)])[0]
-            if carried[position] != 0:
-                replacement = j
-                break
+    # A pivot changes only its own position, so the snapshot stays valid.
+    for position, basic in enumerate(tableau.basis.indices):
+        if basic < n:
+            continue
+        row = tableau.rows[position]
+        replacement = next(
+            (j for j in range(n) if j not in tableau.basis and row[j] != 0), None
+        )
         if replacement is None:
             raise RankDeficiencyError(
                 "constraint matrix has linearly dependent rows (rank < m)"
             )
-        basis = basis.replaced(position, replacement)
-    return Basis(basis.indices)
+        tableau.pivot(position, replacement)
+    return Tableau(lp, tableau.basis, [row[:n] + row[-1:] for row in tableau.rows])
 
 
 def solve(
@@ -518,10 +543,10 @@ def solve(
     if entering == "fixed_order":
         if order is None or sorted(order) != list(range(lp.n)):
             raise ValueError("fixed_order needs a permutation of all column indices")
-    start = phase1(lp)
-    if start is None:
+    tableau = phase1(lp)
+    if tableau is None:
         return SolveOutcome(SolveStatus.INFEASIBLE, None, None, PivotTrace())
-    return _simplex_loop(lp, start, entering, leaving, order, max_iter)
+    return _simplex_loop(tableau, entering, leaving, order, max_iter)
 
 
 def enumerate_vertices_oracle(

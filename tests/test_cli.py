@@ -77,6 +77,20 @@ class TestLpSolve:
         golden = (DATA_DIR / "beale_grossone_dantzig.trace").read_text()
         assert out.startswith(golden)
 
+    @pytest.mark.parametrize(
+        "name, flags, exit_code",
+        [
+            ("beale_grossone", [], 0),
+            ("beale_lexicographic", ["--leaving", "lexicographic"], 0),
+            ("beale_plain", ["--leaving", "plain", "--max-iter", "50"], 3),
+            ("beale_bland", ["--entering", "bland"], 0),
+        ],
+    )
+    def test_full_report_matches_golden_file(self, name, flags, exit_code):
+        code, out = run(["lp", "solve", BEALE, "--trace"] + flags)
+        assert code == exit_code
+        assert out.encode() == (DATA_DIR / f"{name}.out").read_bytes()
+
     def test_malformed_file_exit(self, tmp_path):
         path = tmp_path / "bad.lp"
         path.write_text("1 2\nc: 1\nA: 1 1\nb: 1\n")
@@ -141,6 +155,12 @@ class TestLpCompare:
             code, out = run(["lp", "compare", "random:4x8", "--seed", str(seed)])
             assert code == 0
             assert "IDENTICAL" in out
+
+    @pytest.mark.parametrize("size", ["4x8", "6x12", "8x16"])
+    def test_random_report_matches_golden_file(self, size):
+        code, out = run(["lp", "compare", f"random:{size}", "--seed", "1"])
+        assert code == 0
+        assert out.encode() == (DATA_DIR / f"compare_random_{size}_seed1.out").read_bytes()
 
     def test_random_requires_seed(self):
         code, _ = run(["lp", "compare", "random:4x8"])
@@ -229,6 +249,17 @@ class TestUsage:
     def test_bad_trunc(self):
         code, _ = run(["gross", "eval", "G", "--trunc", "0"])
         assert code == 64
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "command",
+        [["lp", "solve", BEALE], ["lp", "compare", BEALE], ["nlp", "penalty", QUADRATIC]],
+        ids=["lp-solve", "lp-compare", "nlp-penalty"],
+    )
+    def test_max_iter_below_one_is_a_usage_error(self, capsys, command, value):
+        code, out = run(command + ["--max-iter", value])
+        assert (code, out) == (64, "")
+        assert capsys.readouterr().err == "usage error: --max-iter must be at least 1\n"
 
 
 class TestDeterminism:

@@ -11,7 +11,7 @@ from grossone.simplex import (
     RankDeficiencyError,
     RatioTieError,
     SolveStatus,
-    basic_solution,
+    Tableau,
     choose_entering,
     enumerate_vertices_oracle,
     parse_lp,
@@ -26,6 +26,7 @@ from grossone.simplex import (
 )
 
 from helpers import INSTANCE_DIR
+from reference_simplex import basic_solution
 
 F = Fraction
 
@@ -90,17 +91,17 @@ class TestBasis:
 
 class TestPhase1:
     def test_reuses_identity_columns(self, beale):
-        assert phase1(beale).indices == (4, 5, 6)
+        assert phase1(beale).basis.indices == (4, 5, 6)
 
     def test_simple_equality(self):
-        basis = phase1(TINY)
-        assert basis is not None
-        assert len(basis) == 1
+        tableau = phase1(TINY)
+        assert tableau is not None
+        assert len(tableau.basis) == 1
 
     def test_negative_rhs_rows_are_flipped(self):
         lp = lp_from([[-1, 0], [0, 1]], [-2, 1], [1, 1])
-        basis = phase1(lp)
-        assert basis is not None
+        tableau = phase1(lp)
+        assert tableau is not None
         outcome = solve(lp)
         assert outcome.status is SolveStatus.OPTIMAL
         assert outcome.x == (F(2), F(1))
@@ -117,16 +118,16 @@ class TestPhase1:
 
 class TestReducedCosts:
     def test_zero_objective(self):
-        costs = reduced_costs(TINY, Basis((0,)))
+        costs = reduced_costs(Tableau(TINY, Basis((0,))))
         assert costs == {1: F(1)}
 
     def test_hand_computed(self):
-        costs = reduced_costs(TINY, Basis((1,)))
+        costs = reduced_costs(Tableau(TINY, Basis((1,))))
         assert costs == {0: F(-1)}
 
     def test_nonnegative_at_optimum(self, beale):
         outcome = solve(beale, entering="dantzig", leaving="grossone")
-        costs = reduced_costs(beale, outcome.final_basis)
+        costs = reduced_costs(Tableau(beale, outcome.final_basis))
         assert all(value >= 0 for value in costs.values())
 
 
@@ -160,19 +161,19 @@ class TestRatioTests:
     )
 
     def test_plain_minimum_row(self):
-        assert ratio_test_plain(self.RATIO_LP, Basis((0, 1, 2)), 3) == 1
+        assert ratio_test_plain(Tableau(self.RATIO_LP, Basis((0, 1, 2))), 3) == 1
 
     def test_plain_unbounded(self):
         lp = lp_from([[1, -1]], [0], [-1, 0])
         basis = Basis((0,))
-        assert ratio_test_plain(lp, basis, 1) is None
+        assert ratio_test_plain(Tableau(lp, basis), 1) is None
 
     def test_plain_tie_smallest_position(self):
         lp = lp_from([[1, 0, 1], [0, 1, 1]], [1, 1], [0, 0, -1])
-        assert ratio_test_plain(lp, Basis((0, 1)), 2) == 0
+        assert ratio_test_plain(Tableau(lp, Basis((0, 1))), 2) == 0
 
     def test_grossone_breaks_tie_on_first_perturbation(self):
-        row = ratio_test_grossone(TIE_LP, Basis((2, 3)), Basis((0, 1)), 4)
+        row = ratio_test_grossone(Tableau(TIE_LP, Basis((2, 3))), Basis((0, 1)), 4)
         assert row == 1
 
     def test_lexicographic_matches_on_tie(self):
@@ -182,19 +183,18 @@ class TestRatioTests:
     def test_grossone_matches_plain_when_unique(self):
         basis = Basis((0, 1, 2))
         base = Basis((0, 1, 2))
-        assert ratio_test_grossone(self.RATIO_LP, basis, base, 3) == ratio_test_plain(
-            self.RATIO_LP, basis, 3
-        )
+        tableau = Tableau(self.RATIO_LP, basis)
+        assert ratio_test_grossone(tableau, base, 3) == ratio_test_plain(tableau, 3)
 
     def test_broken_invariant_raises(self):
         with pytest.raises(RatioTieError):
-            ratio_test_grossone(BROKEN_TIE_LP, Basis((2, 3)), Basis((0, 1)), 4)
+            ratio_test_grossone(Tableau(BROKEN_TIE_LP, Basis((2, 3))), Basis((0, 1)), 4)
         with pytest.raises(RatioTieError):
             ratio_test_lexicographic(BROKEN_TIE_LP, Basis((2, 3)), Basis((0, 1)), 4)
 
     def test_perturbed_rhs_finite_parts(self):
         basis = Basis((2, 3))
-        rhs = perturbed_rhs(TIE_LP, basis, Basis((0, 1)))
+        rhs = perturbed_rhs(Tableau(TIE_LP, basis), Basis((0, 1)))
         assert rhs.finite_parts() == (F(2), F(3))
         assert rhs[0].coefficient(-1) == 1
         assert rhs[1].coefficient(-1) == 1
@@ -291,7 +291,7 @@ def assert_optimality_certificate(lp, outcome):
     assert all(v >= 0 for v in x)
     for i in range(lp.m):
         assert sum(lp.a[i][j] * x[j] for j in range(lp.n)) == lp.b[i]
-    costs = reduced_costs(lp, outcome.final_basis)
+    costs = reduced_costs(Tableau(lp, outcome.final_basis))
     assert all(value >= 0 for value in costs.values())
 
 
@@ -354,7 +354,7 @@ class TestRandomInstances:
             base = Basis(events[0].basis)
             for event in events:
                 basis = Basis(event.basis)
-                rhs = perturbed_rhs(lp, basis, base)
+                rhs = perturbed_rhs(Tableau(lp, basis), base)
                 assert list(rhs.finite_parts()) == basic_solution(lp, basis)
 
 
