@@ -71,7 +71,6 @@ from .penalty import (
     InfeasibleStationaryError,
     KktCertificate,
     KktReport,
-    KktResiduals,
     NewtonDivergenceError,
     NlpFormatError,
     NlpProblem,

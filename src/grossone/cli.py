@@ -225,12 +225,8 @@ def cmd_nlp_penalty(cfg: RunConfig, out) -> int:
         arith=ArithConfig(truncation_order=cfg.truncation),
         newton_max_iter=cfg.max_iter,
     )
-    try:
-        xstar = stationary_solve(problem, penalty_config)
-        certificate = extract_certificate(problem, xstar)
-    except (NewtonDivergenceError, SingularMatrixError, InfeasibleStationaryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
+    xstar = stationary_solve(problem, penalty_config)
+    certificate = extract_certificate(problem, xstar)
     print("stationary point:", file=out)
     for i, entry in enumerate(xstar):
         print(f"  x{i + 1} = {_display_series(entry)}", file=out)
@@ -359,7 +355,12 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     except FileNotFoundError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (RankDeficiencyError,) as exc:
+    except (
+        NewtonDivergenceError,
+        SingularMatrixError,
+        InfeasibleStationaryError,
+        RankDeficiencyError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
 

@@ -12,11 +12,17 @@ an infinitesimal violation).  For quadratic objectives with affine
 constraints the stationarity system is linear over gross-numbers and Newton
 lands on it in one step.
 
+Every equality and every active inequality enters the penalty the same
+way, as (G/2) c(x)^2.  At each Newton iterate the constraints are
+evaluated once: each penalized constraint c contributes c * grad c to the
+gradient and c * Hess c + grad c grad c^T to the Jacobian, both times G.
+
 A stationary point x* encodes a KKT certificate of the original problem:
 the finite parts of x* give the primal point, and the multipliers are the
 finite parts of G*h_j(x*) and (for active inequalities) max{0, finite part
-of G*g_i(x*)}.  ``verify_kkt`` re-checks every KKT condition at the finite
-point in plain rational arithmetic, so certificates are validated
+of G*g_i(x*)}.  The certificate holds no residuals: ``verify_kkt`` computes
+them, re-checking every KKT condition at the finite point in plain rational
+arithmetic with its own derivatives, so certificates are validated
 independently of the gross-number path that produced them.
 
 ``sequential_penalty_baseline`` is the classical comparison: the same Newton
@@ -45,7 +51,6 @@ __all__ = [
     "InfeasibleStationaryError",
     "KktCertificate",
     "KktReport",
-    "KktResiduals",
     "NewtonDivergenceError",
     "NlpFormatError",
     "NlpProblem",
@@ -120,21 +125,9 @@ class PenaltyConfig:
 
 
 @dataclass(frozen=True)
-class KktResiduals:
-    stationarity: Fraction
-    feasibility_h: Fraction
-    feasibility_g: Fraction
-    complementarity: Fraction
-
-    def __post_init__(self) -> None:
-        for name in ("stationarity", "feasibility_h", "feasibility_g", "complementarity"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"residual {name} must be nonnegative")
-
-
-@dataclass(frozen=True)
 class KktCertificate:
-    """Finite point, multipliers, and the residuals measured at that point.
+    """Finite point and multipliers read off a stationary point; it carries
+    no residuals, ``verify_kkt`` measures them from (x0, mu, pi).
 
     mu_next_order records the G^-1 coefficient of G*g_i(x*) for each
     inequality (0 for inactive ones); it is reported but never interpreted —
@@ -144,7 +137,6 @@ class KktCertificate:
     x0: Tuple[Fraction, ...]
     mu: Tuple[Fraction, ...]
     pi: Tuple[Fraction, ...]
-    residuals: KktResiduals
     mu_next_order: Tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
@@ -189,91 +181,69 @@ class PenaltyStep:
 
 
 class _DerivativeTables:
-    """Symbolic first and second partials of f, g, h, computed once."""
+    """Symbolic first and second partials, computed once: grad_f and hess_f
+    for the objective, and one entry (expression, gradient, Hessian) per
+    constraint in ``constraints``, the inequalities first."""
 
     def __init__(self, problem: NlpProblem):
-        n = problem.dimension
-        self.grad_f = [differentiate(problem.objective, a) for a in range(n)]
-        self.hess_f = [[differentiate(self.grad_f[a], b) for b in range(n)] for a in range(n)]
-        self.grad_g = [
-            [differentiate(g, a) for a in range(n)] for g in problem.inequalities
-        ]
-        self.hess_g = [
-            [[differentiate(grads[a], b) for b in range(n)] for a in range(n)]
-            for grads in self.grad_g
-        ]
-        self.grad_h = [
-            [differentiate(h, a) for a in range(n)] for h in problem.equalities
-        ]
-        self.hess_h = [
-            [[differentiate(grads[a], b) for b in range(n)] for a in range(n)]
-            for grads in self.grad_h
+        self.inequality_count = len(problem.inequalities)
+        self.grad_f, self.hess_f = _partials(problem.objective, problem.dimension)
+        self.constraints = [
+            (expr,) + _partials(expr, problem.dimension)
+            for expr in problem.inequalities + problem.equalities
         ]
 
 
-def _constraint_values(problem, x):
-    g_values = [eval_gross(g, x) for g in problem.inequalities]
-    h_values = [eval_gross(h, x) for h in problem.equalities]
-    active = [v.sign() > 0 for v in g_values]
-    return g_values, h_values, active
+def _partials(expr: PolyExpr, n: int) -> tuple:
+    gradient = [differentiate(expr, a) for a in range(n)]
+    return gradient, [[differentiate(gradient[a], b) for b in range(n)] for a in range(n)]
+
+
+def _penalized_at(tables: _DerivativeTables, x: GrossVector) -> list:
+    """(value, gradient at x, Hessian) of each constraint the penalty weights
+    at x: every equality, and each inequality whose value is > 0."""
+    penalized = []
+    for position, (expr, gradient, hessian) in enumerate(tables.constraints):
+        value = eval_gross(expr, x)
+        if position < tables.inequality_count and value.sign() <= 0:
+            continue
+        penalized.append((value, [eval_gross(d, x) for d in gradient], hessian))
+    return penalized
 
 
 def _gradient_at(
-    problem: NlpProblem,
     tables: _DerivativeTables,
     x: GrossVector,
     weight: GrossNumber,
+    penalized: list,
 ) -> GrossVector:
-    g_values, h_values, active = _constraint_values(problem, x)
     entries = []
-    for a in range(problem.dimension):
-        total = eval_gross(tables.grad_f[a], x)
+    for a, grad_f in enumerate(tables.grad_f):
         penalty_part = ZERO
-        for i, g_value in enumerate(g_values):
-            if active[i]:
-                penalty_part = penalty_part + eval_gross(tables.grad_g[i][a], x) * g_value
-        for j, h_value in enumerate(h_values):
-            penalty_part = penalty_part + eval_gross(tables.grad_h[j][a], x) * h_value
-        entries.append(total + weight * penalty_part)
+        for value, gradient, _ in penalized:
+            penalty_part = penalty_part + gradient[a] * value
+        entries.append(eval_gross(grad_f, x) + weight * penalty_part)
     return GrossVector(entries)
 
 
 def _jacobian_at(
-    problem: NlpProblem,
     tables: _DerivativeTables,
     x: GrossVector,
     weight: GrossNumber,
+    penalized: list,
 ) -> GrossMatrix:
-    n = problem.dimension
-    g_values, h_values, active = _constraint_values(problem, x)
-    grad_g_at = [
-        [eval_gross(tables.grad_g[i][a], x) for a in range(n)]
-        for i in range(len(problem.inequalities))
-    ]
-    grad_h_at = [
-        [eval_gross(tables.grad_h[j][a], x) for a in range(n)]
-        for j in range(len(problem.equalities))
-    ]
     rows = []
-    for a in range(n):
+    for a, hess_f_row in enumerate(tables.hess_f):
         row = []
-        for b in range(n):
-            entry = eval_gross(tables.hess_f[a][b], x)
+        for b, hess_f in enumerate(hess_f_row):
             penalty_part = ZERO
-            for i, g_value in enumerate(g_values):
-                if active[i]:
-                    penalty_part = (
-                        penalty_part
-                        + g_value * eval_gross(tables.hess_g[i][a][b], x)
-                        + grad_g_at[i][a] * grad_g_at[i][b]
-                    )
-            for j, h_value in enumerate(h_values):
+            for value, gradient, hessian in penalized:
                 penalty_part = (
                     penalty_part
-                    + h_value * eval_gross(tables.hess_h[j][a][b], x)
-                    + grad_h_at[j][a] * grad_h_at[j][b]
+                    + value * eval_gross(hessian[a][b], x)
+                    + gradient[a] * gradient[b]
                 )
-            row.append(entry + weight * penalty_part)
+            row.append(eval_gross(hess_f, x) + weight * penalty_part)
         rows.append(row)
     return GrossMatrix(rows)
 
@@ -288,7 +258,8 @@ def penalty_gradient(
     gross-number sign of g_i(x).  Exact (no truncation)."""
     if len(x) != problem.dimension:
         raise ValueError(f"point has length {len(x)}, expected {problem.dimension}")
-    return _gradient_at(problem, _DerivativeTables(problem), x, weight)
+    tables = _DerivativeTables(problem)
+    return _gradient_at(tables, x, weight, _penalized_at(tables, x))
 
 
 def _within_tol(gradient: GrossVector, tol: Fraction) -> bool:
@@ -311,15 +282,14 @@ def _newton(
     if len(start) != problem.dimension:
         raise ValueError("start point has the wrong dimension")
     x = GrossVector(start)
-    for _ in range(config.newton_max_iter):
-        gradient = _gradient_at(problem, tables, x, weight)
+    for steps in range(config.newton_max_iter + 1):
+        penalized = _penalized_at(tables, x)
+        gradient = _gradient_at(tables, x, weight, penalized)
         if _within_tol(gradient, config.newton_tol):
             return x
-        jacobian = _jacobian_at(problem, tables, x, weight)
-        step = solve_linear(jacobian, -gradient, config.arith)
-        x = x + step
-    if _within_tol(_gradient_at(problem, tables, x, weight), config.newton_tol):
-        return x
+        if steps < config.newton_max_iter:
+            jacobian = _jacobian_at(tables, x, weight, penalized)
+            x = x + solve_linear(jacobian, -gradient, config.arith)
     raise NewtonDivergenceError(
         f"no stationary point within {config.newton_max_iter} Newton steps"
     )
@@ -377,32 +347,7 @@ def extract_certificate(problem: NlpProblem, xstar: GrossVector) -> KktCertifica
             lifted = GROSSONE * value
             mu.append(max(Fraction(0), Fraction(lifted.finite_part())))
             mu_next.append(Fraction(lifted.coefficient(-1)))
-    residuals = _residuals_at(problem, x0, tuple(mu), pi)
-    return KktCertificate(x0, tuple(mu), pi, residuals, tuple(mu_next))
-
-
-def _residuals_at(
-    problem: NlpProblem,
-    x0: Tuple[Fraction, ...],
-    mu: Tuple[Fraction, ...],
-    pi: Tuple[Fraction, ...],
-) -> KktResiduals:
-    n = problem.dimension
-    worst_stationarity = Fraction(0)
-    for a in range(n):
-        total = eval_rational(differentiate(problem.objective, a), x0)
-        for i, g in enumerate(problem.inequalities):
-            total += mu[i] * eval_rational(differentiate(g, a), x0)
-        for j, h in enumerate(problem.equalities):
-            total += pi[j] * eval_rational(differentiate(h, a), x0)
-        worst_stationarity = max(worst_stationarity, abs(total))
-    h_values = [eval_rational(h, x0) for h in problem.equalities]
-    g_values = [eval_rational(g, x0) for g in problem.inequalities]
-    feasibility_h = max((abs(v) for v in h_values), default=Fraction(0))
-    feasibility_g = max((v for v in g_values), default=Fraction(0))
-    feasibility_g = max(feasibility_g, Fraction(0))
-    complementarity = abs(sum((m * v for m, v in zip(mu, g_values)), Fraction(0)))
-    return KktResiduals(worst_stationarity, feasibility_h, feasibility_g, complementarity)
+    return KktCertificate(x0, tuple(mu), pi, tuple(mu_next))
 
 
 def check_constraint_qualification(
@@ -440,33 +385,29 @@ def verify_kkt(
 ) -> KktReport:
     """Re-check all five KKT conditions at the certificate's finite point.
 
-    Everything is recomputed in rational arithmetic from (x0, mu, pi); the
-    residuals stored in the certificate are not trusted.
+    Everything is computed here in rational arithmetic from (x0, mu, pi),
+    with derivatives taken afresh, independently of the Newton path.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     x0, mu, pi = certificate.x0, certificate.mu, certificate.pi
-    residuals = _residuals_at(problem, x0, mu, pi)
+    stationarity = Fraction(0)
+    for a in range(problem.dimension):
+        total = eval_rational(differentiate(problem.objective, a), x0)
+        for i, g in enumerate(problem.inequalities):
+            total += mu[i] * eval_rational(differentiate(g, a), x0)
+        for j, h in enumerate(problem.equalities):
+            total += pi[j] * eval_rational(differentiate(h, a), x0)
+        stationarity = max(stationarity, abs(total))
+    g_values = [eval_rational(g, x0) for g in problem.inequalities]
+    feasibility_g = max([Fraction(0)] + g_values)
+    feasibility_h = max(
+        (abs(eval_rational(h, x0)) for h in problem.equalities), default=Fraction(0)
+    )
     multiplier_sign = max((max(Fraction(0), -m) for m in mu), default=Fraction(0))
-    passed = all(
-        value <= tol
-        for value in (
-            residuals.stationarity,
-            residuals.feasibility_g,
-            residuals.feasibility_h,
-            multiplier_sign,
-            residuals.complementarity,
-        )
-    )
-    return KktReport(
-        passed,
-        tol,
-        residuals.stationarity,
-        residuals.feasibility_g,
-        residuals.feasibility_h,
-        multiplier_sign,
-        residuals.complementarity,
-    )
+    complementarity = abs(sum((m * v for m, v in zip(mu, g_values)), Fraction(0)))
+    residuals = (stationarity, feasibility_g, feasibility_h, multiplier_sign, complementarity)
+    return KktReport(all(value <= tol for value in residuals), tol, *residuals)
 
 
 # -- classical sequential baseline ---------------------------------------------------
@@ -517,6 +458,7 @@ def parse_nlp(text: str) -> NlpProblem:
     '#' starts a comment; blank lines are ignored.
     """
     dimension = None
+    dimension_line = 0
     objective = None
     inequalities: List[PolyExpr] = []
     equalities: List[PolyExpr] = []
@@ -528,7 +470,7 @@ def parse_nlp(text: str) -> NlpProblem:
             parts = stripped.split()
             if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
                 raise NlpFormatError(f"line {line_no}: expected 'n <dimension>' first")
-            dimension = int(parts[1])
+            dimension, dimension_line = int(parts[1]), line_no
             continue
         if ":" not in stripped:
             raise NlpFormatError(f"line {line_no}: expected 'f:', 'g:' or 'h:' line")
@@ -552,4 +494,7 @@ def parse_nlp(text: str) -> NlpProblem:
         raise NlpFormatError("missing 'n <dimension>' line")
     if objective is None:
         raise NlpFormatError("missing 'f:' line")
-    return NlpProblem(dimension, objective, tuple(inequalities), tuple(equalities))
+    try:
+        return NlpProblem(dimension, objective, tuple(inequalities), tuple(equalities))
+    except ValueError as exc:  # e.g. dimension 0
+        raise NlpFormatError(f"line {dimension_line}: {exc}") from None

@@ -224,17 +224,34 @@ class TestNlpPenalty:
         assert code == 6
         assert "KKT NOT VERIFIED" in out
 
-    def test_divergence_exit(self, tmp_path):
+    def test_divergence_exit(self, tmp_path, capsys):
         path = tmp_path / "quartic.nlp"
         path.write_text("n 1\nf: 1 + x1^4 - x1\n")
-        code, _ = run(["nlp", "penalty", str(path), "--max-iter", "3"])
-        assert code == 5
+        code, out = run(["nlp", "penalty", str(path), "--max-iter", "3"])
+        assert (code, out) == (5, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_singular_newton_system_exit(self, tmp_path, capsys):
+        path = tmp_path / "linear.nlp"
+        path.write_text("n 1\nf: x1\n")
+        code, out = run(["nlp", "penalty", str(path)])
+        assert (code, out) == (5, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_parse_error_exit(self, tmp_path):
         path = tmp_path / "bad.nlp"
         path.write_text("n 1\nf: x2\n")
         code, _ = run(["nlp", "penalty", str(path)])
         assert code == 65
+
+    def test_zero_dimension_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.nlp"
+        path.write_text("n 0\nf: 1\n")
+        code, out = run(["nlp", "penalty", str(path)])
+        assert (code, out) == (65, "")
+        assert capsys.readouterr().err == "parse error: line 1: dimension must be at least 1\n"
 
 
 class TestUsage:

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from grossone.arith import GROSSONE, make
-from grossone.linalg import GrossVector, SingularMatrixError
+import grossone.penalty
+from grossone.arith import ArithConfig, GROSSONE, as_gross, make
+from grossone.linalg import GrossMatrix, GrossVector, SingularMatrixError
 from grossone.penalty import (
     InfeasibleStationaryError,
     NewtonDivergenceError,
@@ -22,6 +23,7 @@ from grossone.penalty import (
 from grossone.polyexpr import eval_gross, parse_expr
 
 from helpers import INSTANCE_DIR
+from reference_penalty import newton_system
 
 F = Fraction
 G = GROSSONE
@@ -158,8 +160,9 @@ class TestExtractCertificate:
         assert certificate.x0 == (F(1, 4), F(3, 4))
         assert certificate.pi == (F(-1, 4),)
         assert certificate.mu == ()
-        assert certificate.residuals.stationarity == 0
-        assert certificate.residuals.feasibility_h == 0
+        report = verify_kkt(quadratic_equality, certificate)
+        assert report.stationarity == 0
+        assert report.feasibility_h == 0
 
     def test_inequality_multiplier(self, linear_bound):
         xstar = stationary_solve(linear_bound)
@@ -248,7 +251,6 @@ class TestVerifyKkt:
             x0=(F(1, 4) + F(1, 10), F(3, 4)),
             mu=certificate.mu,
             pi=certificate.pi,
-            residuals=certificate.residuals,
         )
         report = verify_kkt(quadratic_equality, broken, tol=F(0))
         assert not report.passed
@@ -316,3 +318,94 @@ class TestActivityCoherence:
         value = eval_gross(problem.inequalities[0], xstar)
         assert value.sign() < 0
         assert value.finite_part() < 0
+
+
+def _reference_problems(seed):
+    """Seeded problems whose Newton systems exercise every penalty term: a
+    nonlinear equality, a nonlinear inequality, and an inequality that is
+    exactly 0 at the start point and active after the first step, next to
+    bounds that are active or inactive there."""
+    rng = random.Random(seed)
+
+    def rational(low, high):
+        return F(rng.randint(low, high), rng.randint(1, 3))
+
+    s1, s2 = rational(-6, 6), rational(-6, 6)
+    objective = (
+        f"f: {rational(1, 6)}*x1^2 + {rational(1, 6)}*x2^2"
+        f" + ({rational(-6, 6)})*x1 + ({rational(-6, 6)})*x2"
+    )
+    beyond_s1 = (
+        f"f: {rational(1, 6)}*(x1 - ({s1 + rng.randint(1, 3)}))^2 + {rational(1, 6)}*x2^2"
+    )
+    texts = [
+        f"{objective}\nh: x1^2 + x2^2 - 2",
+        f"{objective}\ng: x1^2 + x1*x2 - {rational(1, 4)}\ng: x2 - 20"
+        f"\nh: x1 + x2 - {rational(1, 4)}",
+        f"{beyond_s1}\ng: x1 - ({s1})\ng: ({s2 + 1}) - x2\ng: x1 - 30",
+    ]
+    return [(parse_nlp("n 2\n" + text), (s1, s2)) for text in texts]
+
+
+class TestNewtonSystemReference:
+    """Every Newton system the solver builds equals the one assembled
+    straight from the penalty formula at the same iterate."""
+
+    @pytest.fixture
+    def systems(self, monkeypatch):
+        """Every (jacobian, rhs, step) that passes through solve_linear."""
+        captured = []
+        real_solve = grossone.penalty.solve_linear
+
+        def capturing_solve(jacobian, rhs, config):
+            step = real_solve(jacobian, rhs, config)
+            captured.append((jacobian, rhs, step))
+            return step
+
+        monkeypatch.setattr(grossone.penalty, "solve_linear", capturing_solve)
+        return captured
+
+    @staticmethod
+    def check_run(problem, start, weight, systems, run):
+        """Replay the captured steps from start: each system must match the
+        reference at its iterate, no step may be taken at a point where the
+        gradient already vanishes at grosspowers >= -1 (the zero-tolerance
+        stopping rule), and the run stops exactly where it first vanishes."""
+
+        def settled(gradient):
+            return all(power < -1 for entry in gradient for power, _ in entry.terms)
+
+        systems.clear()
+        try:
+            run()
+            stopped = True
+        except NewtonDivergenceError:
+            stopped = False
+        x = GrossVector(start)
+        for jacobian, rhs, step in systems:
+            gradient, expected_jacobian = newton_system(problem, x, weight)
+            assert not settled(gradient)
+            assert jacobian == GrossMatrix(expected_jacobian)
+            assert rhs == GrossVector([-entry for entry in gradient])
+            x = x + step
+        assert settled(newton_system(problem, x, weight)[0]) == stopped
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stationary_solve_systems(self, systems, seed):
+        for problem, start in _reference_problems(seed):
+            config = PenaltyConfig(newton_max_iter=3, start=start)
+            self.check_run(
+                problem, start, GROSSONE, systems, lambda: stationary_solve(problem, config)
+            )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sequential_baseline_systems(self, systems, seed):
+        for problem, start in _reference_problems(seed):
+            config = PenaltyConfig(
+                arith=ArithConfig(truncation_order=4), newton_max_iter=3, start=start
+            )
+            for eps in (F(1, 10), F(1, 1000)):
+                self.check_run(
+                    problem, start, as_gross(1 / eps), systems,
+                    lambda: sequential_penalty_baseline(problem, [eps], config),
+                )
