@@ -46,6 +46,7 @@ from .simplex import (
     Basis,
     LpFormatError,
     LpStandardForm,
+    PhaseOneError,
     PivotEvent,
     PivotTrace,
     RankDeficiencyError,

@@ -26,7 +26,9 @@ at most ``leading(a) - K``, and the quotient is exact whenever ``b`` is a
 single term.  ``K`` is ``ArithConfig.truncation_order``.
 
 Ordering is total: a nonzero gross-number takes the sign of its
-highest-grosspower digit, and ``a < b`` means ``sign(a - b) < 0``.
+highest-grosspower digit, and ``a < b`` means ``sign(a - b) < 0``.  Comparison
+walks the two term tuples and stops at the first grosspower where they
+differ, without forming ``a - b``.
 """
 
 from __future__ import annotations
@@ -354,25 +356,25 @@ class GrossNumber:
         other = _coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).sign() < 0
+        return _compare_terms(self._terms, other._terms) < 0
 
     def __le__(self, other) -> bool:
         other = _coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).sign() <= 0
+        return _compare_terms(self._terms, other._terms) <= 0
 
     def __gt__(self, other) -> bool:
         other = _coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).sign() > 0
+        return _compare_terms(self._terms, other._terms) > 0
 
     def __ge__(self, other) -> bool:
         other = _coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).sign() >= 0
+        return _compare_terms(self._terms, other._terms) >= 0
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -422,6 +424,22 @@ def _sum_terms(a, b) -> Tuple[Tuple[int, Fraction], ...]:
     merged.extend(a[i:])
     merged.extend(b[j:])
     return tuple(merged)
+
+
+def _compare_terms(a, b) -> int:
+    """sign(a - b) for two normalized term tuples: the first grosspower at
+    which they differ decides, by the digit of a - b there."""
+    for (pa, da), (pb, db) in zip(a, b):
+        if pa != pb:
+            # The higher grosspower is present in one operand only.
+            lead = da if pa > pb else -db
+            return 1 if lead > 0 else -1
+        if da != db:
+            return 1 if da > db else -1
+    if len(a) != len(b):
+        lead = a[len(b)][1] if len(a) > len(b) else -b[len(a)][1]
+        return 1 if lead > 0 else -1
+    return 0
 
 
 def _product_terms(a, b, floor=-math.inf) -> Tuple[Tuple[int, Fraction], ...]:
@@ -543,8 +561,12 @@ def div(a: Scalar, b: Scalar, config: ArithConfig = DEFAULT_CONFIG) -> GrossNumb
 
 
 def compare(a: Scalar, b: Scalar) -> int:
-    """-1, 0 or 1 as a < b, a == b or a > b."""
-    return (as_gross(a) - as_gross(b)).sign()
+    """-1, 0 or 1 as a < b, a == b or a > b, i.e. ``sign(a - b)``.
+
+    The two term tuples are walked from the top grosspower down and the
+    first difference decides; ``a - b`` is never built.
+    """
+    return _compare_terms(as_gross(a)._terms, as_gross(b)._terms)
 
 
 def evaluate_at(a: Scalar, point) -> Fraction:

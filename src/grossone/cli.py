@@ -33,7 +33,9 @@ from .linalg import SingularMatrixError
 from .simplex import (
     LpFormatError,
     LpStandardForm,
+    PhaseOneError,
     RankDeficiencyError,
+    RatioTieError,
     SolveStatus,
     parse_lp,
     random_degenerate_lp,
@@ -360,6 +362,8 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         SingularMatrixError,
         InfeasibleStationaryError,
         RankDeficiencyError,
+        PhaseOneError,
+        RatioTieError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE

@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .arith import ArithConfig, DEFAULT_CONFIG, GROSSONE, GrossNumber, ZERO, as_gross
-from .linalg import GrossMatrix, GrossVector, rational_rank, solve_linear
+from .linalg import GrossMatrix, GrossVector, SingularMatrixError, rational_rank, solve_linear
 from .polyexpr import (
     PolyExpr,
     differentiate,
@@ -289,7 +289,12 @@ def _newton(
             return x
         if steps < config.newton_max_iter:
             jacobian = _jacobian_at(tables, x, weight, penalized)
-            x = x + solve_linear(jacobian, -gradient, config.arith)
+            try:
+                x = x + solve_linear(jacobian, -gradient, config.arith)
+            except SingularMatrixError as exc:
+                raise SingularMatrixError(
+                    f"Newton step {steps + 1}: singular Jacobian ({exc})"
+                ) from None
     raise NewtonDivergenceError(
         f"no stationary point within {config.newton_max_iter} Newton steps"
     )

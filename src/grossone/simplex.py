@@ -16,11 +16,15 @@ or a fixed user-supplied preference order.  Leaving rules:
   ``A_B^-1 A_B0``, in plain rational arithmetic.  It is the independent
   oracle: it must select the same row as the grossone rule at every pivot.
 
-All iteration linear algebra is exact.  A solve factorizes once: phase one
-builds a Tableau with one rational solve, and every later pivot, in phase
-one and phase two, is an exact rank-one update of it.  The grossone rule,
-the reduced costs and the perturbed objective all read that tableau; only
-the lexicographic oracle solves with the basis matrix afresh at each pivot.
+All iteration linear algebra is exact and, on the solve path, integer.  A
+Tableau holds integer rows over one positive denominator d (the rows of
+``[A | b]`` scaled to integers, d = |det| of the scaled basis matrix).
+Phase one starts from a basis that is the identity in the sign-flipped
+rows, so its tableau is those rows and no system is solved; every later
+pivot, in phase one and phase two, is a fraction-free Edmonds-Bareiss update
+with exact integer division.  The grossone rule, the reduced costs and the
+perturbed objective all read signs and ratios off those integers; only the
+lexicographic oracle solves with the basis matrix afresh at each pivot.
 Every pivot is logged in a PivotTrace, including the perturbed objective as
 a gross-number, which strictly decreases under the grossone rule.
 """
@@ -29,13 +33,14 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .arith import GrossNumber, as_gross, compare
+from .arith import GrossNumber, compare
 from .linalg import (
     GrossVector,
     SingularMatrixError,
@@ -47,6 +52,7 @@ __all__ = [
     "Basis",
     "LpFormatError",
     "LpStandardForm",
+    "PhaseOneError",
     "PivotEvent",
     "PivotTrace",
     "RankDeficiencyError",
@@ -80,8 +86,20 @@ class RatioTieError(RuntimeError):
     """Two perturbed ratios compared equal: a uniqueness invariant is broken."""
 
 
+class PhaseOneError(RuntimeError):
+    """The phase-one auxiliary solve stopped short of an optimum."""
+
+
 class LpFormatError(ValueError):
     """Malformed LP instance text."""
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _as_fraction(value) -> Fraction:
+    return value if type(value) is Fraction else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -93,10 +111,10 @@ class LpStandardForm:
     c: Tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        a = tuple(tuple(Fraction(v) for v in row) for row in self.a)
+        a = tuple(tuple(map(_as_fraction, row)) for row in self.a)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", tuple(Fraction(v) for v in self.b))
-        object.__setattr__(self, "c", tuple(Fraction(v) for v in self.c))
+        object.__setattr__(self, "b", tuple(map(_as_fraction, self.b)))
+        object.__setattr__(self, "c", tuple(map(_as_fraction, self.c)))
         if not a or not a[0]:
             raise ValueError("A must be nonempty")
         n = len(a[0])
@@ -199,61 +217,119 @@ class SolveOutcome:
 # -- the tableau ------------------------------------------------------------------
 
 
+def _lcm_of_denominators(values) -> int:
+    scale = 1
+    for v in values:
+        scale = math.lcm(scale, v.denominator)
+    return scale
+
+
+def _times(values: Sequence[Fraction], scale: int) -> List[int]:
+    """``values`` times ``scale``, a multiple of every denominator, as ints."""
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
 class Tableau:
     """Exact simplex tableau of an ordered basis, kept current by pivots.
 
-    ``rows`` holds ``A_B^-1 [A | b]`` (m rows of n + 1 entries) and
-    ``objective`` the reduced-cost row ``d_j = c_j - c_B . rows[:, j]``,
-    whose last entry is ``-c_B . x_B``.  The constructor makes one rational
-    solve; ``pivot`` is an exact Gauss-Jordan rank-one update of all m + 1
-    rows, so no later basis is ever factorized afresh.  Because row k of the
-    tableau belongs to basis position k, ``A_B^-1 A_B0`` is simply the
-    tableau's columns at the initial basis B0.
+    The tableau ``A_B^-1 [A | b]`` (m rows of n + 1 entries) is held as
+    integer ``rows`` over one positive integer ``denominator`` d.  Each row
+    of ``[A | b]`` is first scaled to integers by the lcm of its
+    denominators; a row scaling S cancels, ``(S A_B)^-1 S A = A_B^-1 A``, and
+    d is kept equal to ``|det(S A_B)|``, so ``rows = d A_B^-1 [A | b]`` is
+    integral (Cramer's rule).  ``objective`` holds the reduced-cost row
+    ``d_j = c_j - c_B . T[:, j]`` (last entry ``-c_B . x_B``) over the same
+    d, with c scaled to the integers ``costs`` by ``cost_scale``, the lcm of
+    its denominators: true value = ``objective[j] / (d * cost_scale)``.
+
+    A fresh basis costs one fraction-free Gauss-Jordan pass; an identity
+    start adopts its rows without one.  ``pivot`` is the Edmonds-Bareiss
+    integer update of all m + 1 rows, whose divisions are exact, so no
+    later basis is factorized afresh and no entry is ever normalized by a
+    gcd.  Because row k belongs to basis position k, ``A_B^-1 A_B0`` is
+    simply the tableau's columns at the initial basis B0.
     """
 
-    __slots__ = ("lp", "basis", "rows", "objective")
+    __slots__ = ("lp", "basis", "rows", "denominator", "cost_scale", "costs", "objective")
 
-    def __init__(self, lp: LpStandardForm, basis: Basis, rows: Optional[List[List[Fraction]]] = None):
-        """Solve for ``A_B^-1 [A | b]``, or adopt ``rows`` already equal to it."""
-        if rows is None:
-            a_b = [[lp.a[i][j] for j in basis] for i in range(lp.m)]
-            columns = solve_rational_columns(a_b, [lp.column(j) for j in range(lp.n)] + [lp.b])
-            rows = [[column[i] for column in columns] for i in range(lp.m)]
+    def __init__(
+        self,
+        lp: LpStandardForm,
+        basis: Basis,
+        rows: Optional[List[List[int]]] = None,
+        denominator: int = 1,
+    ):
+        """Eliminate for the tableau of ``basis``, or adopt integer ``rows``
+        with ``rows / denominator`` already equal to it."""
         self.lp = lp
+        if rows is None:
+            # Fraction-free Gauss-Jordan: pivot each basis column into its
+            # position, swapping in a later row where the entry is 0.
+            rows = self.rows = [
+                _times(values, _lcm_of_denominators(values))
+                for values in (row + (bi,) for row, bi in zip(lp.a, lp.b))
+            ]
+            self.denominator = 1
+            for position, j in enumerate(basis):
+                pivot_row = next((i for i in range(position, lp.m) if rows[i][j]), None)
+                if pivot_row is None:
+                    raise SingularMatrixError(f"basis column {j} is dependent")
+                rows[position], rows[pivot_row] = rows[pivot_row], rows[position]
+                self._eliminate(position, j)
+        else:
+            self.rows = rows
+            self.denominator = denominator
         self.basis = basis
-        self.rows = rows
-        basic_costs = [lp.c[j] for j in basis]
-        self.objective = [
-            cost - sum(cb * row[j] for cb, row in zip(basic_costs, rows) if cb)
-            for j, cost in enumerate(lp.c + (Fraction(0),))
-        ]
+        self.cost_scale = _lcm_of_denominators(lp.c)
+        self.costs = _times(lp.c + (_ZERO,), self.cost_scale)
+        d = self.denominator
+        objective = [d * cost for cost in self.costs]
+        for position, j in enumerate(basis):
+            if self.costs[j]:
+                objective = [o - self.costs[j] * v for o, v in zip(objective, self.rows[position])]
+        self.objective = objective
 
     def pivot(self, row: int, entering: int) -> None:
         """Bring column ``entering`` into basis position ``row``."""
-        pivot_row = self.rows[row]
-        scale = pivot_row[entering]
-        pivot_row = [v / scale for v in pivot_row]
-        self.rows[row] = pivot_row
-        for i, other in enumerate(self.rows):
-            if i != row:
-                self.rows[i] = _eliminate(other, pivot_row, entering)
-        self.objective = _eliminate(self.objective, pivot_row, entering)
+        denominator = self.denominator
+        self._eliminate(row, entering)
+        self.objective = _bareiss(self.objective, self.rows[row], entering, denominator)
         self.basis = self.basis.replaced(row, entering)
+
+    def _eliminate(self, row: int, entering: int) -> None:
+        """Bareiss update of the m rows about ``p = rows[row][entering]``,
+        with the pivot row negated first when p < 0; then ``d' = |p|``."""
+        rows = self.rows
+        if rows[row][entering] < 0:
+            rows[row] = [-v for v in rows[row]]
+        pivot_row = rows[row]
+        for i, other in enumerate(rows):
+            if i != row:
+                rows[i] = _bareiss(other, pivot_row, entering, self.denominator)
+        self.denominator = pivot_row[entering]
 
     def point(self) -> Tuple[Tuple[Fraction, ...], Fraction]:
         """The basic solution x and its objective value <c, x>."""
         x = [Fraction(0)] * self.lp.n
         for position, j in enumerate(self.basis):
-            x[j] = self.rows[position][-1]
+            x[j] = Fraction(self.rows[position][-1], self.denominator)
         value = sum(cj * xj for cj, xj in zip(self.lp.c, x))
         return tuple(x), value
 
 
-def _eliminate(target: List[Fraction], pivot_row: List[Fraction], column: int) -> List[Fraction]:
-    factor = target[column]
+def _bareiss(target: List[int], pivot_row: List[int], entering: int, d: int) -> List[int]:
+    """``(N_ij p - N_ie N_rj) / d`` over one row, p = pivot_row[entering] > 0.
+
+    Every division is exact.  A row with ``N_ie = 0`` still moves to the new
+    denominator, ``N_ij p / d``.
+    """
+    p = pivot_row[entering]
+    factor = target[entering]
     if not factor:
-        return target
-    return [a - factor * b if b else a for a, b in zip(target, pivot_row)]
+        return target if p == d else [v * p // d for v in target]
+    if d == 1:
+        return [v * p - factor * w for v, w in zip(target, pivot_row)]
+    return [(v * p - factor * w) // d for v, w in zip(target, pivot_row)]
 
 
 # -- readers of the tableau ------------------------------------------------------------
@@ -261,7 +337,9 @@ def _eliminate(target: List[Fraction], pivot_row: List[Fraction], column: int) -
 
 def reduced_costs(tableau: Tableau) -> Dict[int, Fraction]:
     """Exact reduced costs of the nonbasic columns."""
-    return {j: tableau.objective[j] for j in tableau.basis.complement(tableau.lp.n)}
+    scale = tableau.denominator * tableau.cost_scale
+    objective = tableau.objective
+    return {j: Fraction(objective[j], scale) for j in tableau.basis.complement(tableau.lp.n)}
 
 
 def choose_entering(
@@ -293,10 +371,11 @@ def perturbed_rhs(tableau: Tableau, base_basis: Basis) -> GrossVector:
     The finite part of each entry is exactly (A_B^-1 b)_i; the perturbation
     only adds infinitesimals.
     """
+    d = tableau.denominator
     entries = []
     for row in tableau.rows:
-        terms = [(0, row[-1])]
-        terms.extend((-(k + 1), row[j]) for k, j in enumerate(base_basis))
+        terms = [(0, Fraction(row[-1], d))]
+        terms.extend((-(k + 1), Fraction(row[j], d)) for k, j in enumerate(base_basis))
         entries.append(GrossNumber(terms))
     return GrossVector(entries)
 
@@ -308,11 +387,14 @@ def perturbed_objective(tableau: Tableau, base_basis: Basis) -> GrossNumber:
     the last objective-row entry, and the coefficient of G^-(k+1) is
     ``c_B . A_B^-1 A_B0[k] = c_B0[k] - d_B0[k]``.
     """
-    d = tableau.objective
-    c = tableau.lp.c
-    terms = [(0, -d[-1])]
-    terms.extend((-(k + 1), c[j] - d[j]) for k, j in enumerate(base_basis))
-    return GrossNumber(terms)
+    d = tableau.denominator
+    objective, costs = tableau.objective, tableau.costs
+    digits = [(0, -objective[-1])]
+    digits.extend((-(k + 1), d * costs[j] - objective[j]) for k, j in enumerate(base_basis))
+    scale = d * tableau.cost_scale
+    return GrossNumber._from_terms(
+        tuple((p, Fraction(digit, scale)) for p, digit in digits if digit)
+    )
 
 
 # -- leaving rules ----------------------------------------------------------------
@@ -323,16 +405,15 @@ def ratio_test_plain(tableau: Tableau, entering: int) -> Optional[int]:
 
     Returns the leaving row, or None when the entering direction is
     nonpositive (problem unbounded below).  The tie-break deliberately
-    reproduces classic cycling on degenerate instances.
+    reproduces classic cycling on degenerate instances.  The ratio of row i
+    is ``N_ib / N_ie`` (d cancels), compared by cross-multiplication.
     """
     best_row = None
-    best_ratio = None
     for i, row in enumerate(tableau.rows):
         if row[entering] <= 0:
             continue
-        ratio = row[-1] / row[entering]
-        if best_ratio is None or ratio < best_ratio:
-            best_row, best_ratio = i, ratio
+        if best_row is None or row[-1] * best[entering] < best[-1] * row[entering]:
+            best_row, best = i, row
     return best_row
 
 
@@ -343,18 +424,23 @@ def ratio_test_grossone(
 ) -> Optional[int]:
     """Ratio test on the infinitesimally perturbed right-hand side.
 
-    Each candidate ratio is the gross-number (perturbed rhs)_i / direction_i
-    (exact: the divisor is a plain rational).  The perturbation makes all
-    ratios distinct, so the minimum is attained at a unique row; an observed
-    tie means the rows of A_B^-1 A_B0 were not independent and raises
-    RatioTieError.
+    Each candidate ratio is the gross-number (perturbed rhs)_i / direction_i,
+    whose digits are ``N_ik / N_ie`` (the denominator d cancels).  The
+    perturbation makes all ratios distinct, so the minimum is attained at a
+    unique row; an observed tie means the rows of A_B^-1 A_B0 were not
+    independent and raises RatioTieError.
     """
-    direction = [row[entering] for row in tableau.rows]
-    candidate_rows = [i for i, v in enumerate(direction) if v > 0]
+    candidate_rows = [i for i, row in enumerate(tableau.rows) if row[entering] > 0]
     if not candidate_rows:
         return None
-    rhs = perturbed_rhs(tableau, base_basis)
-    ratios = {i: rhs[i] * as_gross(1 / direction[i]) for i in candidate_rows}
+    columns = [(0, -1)] + [(-(k + 1), j) for k, j in enumerate(base_basis)]
+    ratios = {}
+    for i in candidate_rows:
+        row = tableau.rows[i]
+        direction = row[entering]
+        ratios[i] = GrossNumber._from_terms(
+            tuple((p, Fraction(row[j], direction)) for p, j in columns if row[j])
+        )
     best_row = candidate_rows[0]
     for i in candidate_rows[1:]:
         if compare(ratios[i], ratios[best_row]) < 0:
@@ -362,8 +448,8 @@ def ratio_test_grossone(
     ties = [i for i in candidate_rows if i != best_row and compare(ratios[i], ratios[best_row]) == 0]
     if ties:
         raise RatioTieError(
-            f"perturbed ratios tie between rows {best_row} and {ties[0]}; "
-            "rows of the carried initial basis are not independent"
+            f"grossone ratio test: perturbed ratios tie between rows {best_row} and "
+            f"{ties[0]}; rows of the carried initial basis are not independent"
         )
     return best_row
 
@@ -397,7 +483,7 @@ def ratio_test_lexicographic(
         if len(survivors) == 1:
             return survivors[0]
     raise RatioTieError(
-        "lexicographic tie-break exhausted every column without a unique row"
+        "lexicographic ratio test: tie-break exhausted every column without a unique row"
     )
 
 
@@ -462,41 +548,45 @@ def phase1(lp: LpStandardForm, max_iter: int = 10_000) -> Optional[Tableau]:
 
     Rows with negative right-hand side are sign-flipped, existing unit
     columns are reused, and artificial variables cover the remaining rows.
-    The auxiliary problem runs with the grossone leaving rule, so phase one
-    itself cannot cycle.  Artificial columns still basic (at zero) after the
-    auxiliary solve are pivoted out; if one cannot be, A has rank < m and
-    RankDeficiencyError is raised.  The returned tableau is the auxiliary
-    one without its artificial columns: the row sign flips D cancel, as
+    That starting basis is the identity in the flipped rows, so its tableau
+    is those rows themselves and needs no elimination.  The auxiliary
+    problem runs with the grossone leaving rule, so phase one itself cannot
+    cycle; if it still stops short of an optimum, PhaseOneError is raised.
+    Artificial columns still basic (at zero) after the auxiliary solve are
+    pivoted out; if one cannot be, A has rank < m and RankDeficiencyError is
+    raised.  The returned tableau is the auxiliary one without its
+    artificial columns: the row sign flips D cancel, as
     ``(D A_B)^-1 D A = A_B^-1 A``.
     """
     m, n = lp.m, lp.n
-    rows = [list(row) for row in lp.a]
-    rhs = list(lp.b)
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
+    flipped = [row if bi >= 0 else tuple(-v for v in row) for row, bi in zip(lp.a, lp.b)]
+    rhs = tuple(abs(bi) for bi in lp.b)
+    # Row i scaled to integers by s_i leaves an identity basis as diag(s), so
+    # the starting denominator is the product of the s_i.
+    d = math.prod(_lcm_of_denominators(row + (bi,)) for row, bi in zip(flipped, rhs))
+    rows = [_times(row + (bi,), d) for row, bi in zip(flipped, rhs)]
 
     unit_for_row: Dict[int, int] = {}
-    used = set()
-    for i in range(m):
-        for j in range(n):
-            if j in used:
-                continue
-            if rows[i][j] == 1 and all(rows[k][j] == 0 for k in range(m) if k != i):
-                unit_for_row[i] = j
-                used.add(j)
-                break
+    for j in range(n):
+        nonzero = [i for i in range(m) if rows[i][j]]
+        if len(nonzero) == 1 and rows[nonzero[0]][j] == d:
+            unit_for_row.setdefault(nonzero[0], j)
     if len(unit_for_row) == m:
-        return Tableau(lp, Basis(tuple(unit_for_row[i] for i in range(m))))
+        return Tableau(lp, Basis(tuple(unit_for_row[i] for i in range(m))), rows, d)
 
     artificial_rows = [i for i in range(m) if i not in unit_for_row]
+    aux_lp = LpStandardForm(
+        tuple(
+            row + tuple(_ONE if i == k else _ZERO for k in artificial_rows)
+            for i, row in enumerate(flipped)
+        ),
+        rhs,
+        (_ZERO,) * n + (_ONE,) * len(artificial_rows),
+    )
     aux_rows = [
-        row + [Fraction(1) if (i == k) else Fraction(0) for k in artificial_rows]
+        row[:-1] + [d if i == k else 0 for k in artificial_rows] + row[-1:]
         for i, row in enumerate(rows)
     ]
-    aux_c = [Fraction(0)] * n + [Fraction(1)] * len(artificial_rows)
-    aux_lp = LpStandardForm(tuple(map(tuple, aux_rows)), tuple(rhs), tuple(aux_c))
     start_indices = []
     next_artificial = n
     for i in range(m):
@@ -505,10 +595,12 @@ def phase1(lp: LpStandardForm, max_iter: int = 10_000) -> Optional[Tableau]:
         else:
             start_indices.append(next_artificial)
             next_artificial += 1
-    tableau = Tableau(aux_lp, Basis(tuple(start_indices)))
+    tableau = Tableau(aux_lp, Basis(tuple(start_indices)), aux_rows, d)
     outcome = _simplex_loop(tableau, "dantzig", "grossone", None, max_iter)
     if outcome.status is not SolveStatus.OPTIMAL:
-        raise RuntimeError(f"auxiliary solve ended with status {outcome.status}")
+        raise PhaseOneError(
+            f"phase one: auxiliary solve ended with status {outcome.status.value}"
+        )
     if outcome.value > 0:
         return None
 
@@ -525,7 +617,9 @@ def phase1(lp: LpStandardForm, max_iter: int = 10_000) -> Optional[Tableau]:
                 "constraint matrix has linearly dependent rows (rank < m)"
             )
         tableau.pivot(position, replacement)
-    return Tableau(lp, tableau.basis, [row[:n] + row[-1:] for row in tableau.rows])
+    return Tableau(
+        lp, tableau.basis, [row[:n] + row[-1:] for row in tableau.rows], tableau.denominator
+    )
 
 
 def solve(

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from grossone.arith import GrossNumber
 from grossone.polyexpr import PolyExpr, eval_rational
+from grossone.simplex import LpStandardForm, random_degenerate_lp
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -15,6 +16,26 @@ DATA_DIR = Path(__file__).resolve().parent / "data"
 
 def random_fraction(rng: random.Random, bound: int = 100) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def random_ratio(rng: random.Random, bound: int = 9) -> Fraction:
+    """Nonzero p/q with |p|, q <= bound."""
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, bound), rng.randint(1, bound))
+
+
+def rational_degenerate_lp(rng: random.Random, m: int, n: int) -> LpStandardForm:
+    """``random_degenerate_lp`` with each row of ``[A | b]`` and each cost
+    multiplied by a random nonzero p/q.  The row scalings leave the feasible
+    set unchanged (a negative one makes phase one flip that row); the cost
+    scalings give a different, still bounded, objective."""
+    lp = random_degenerate_lp(rng, m, n)
+    a, b = [], []
+    for row, bi in zip(lp.a, lp.b):
+        scale = random_ratio(rng)
+        a.append(tuple(v * scale for v in row))
+        b.append(bi * scale)
+    c = tuple(cj * random_ratio(rng) for cj in lp.c)
+    return LpStandardForm(tuple(a), tuple(b), c)
 
 
 def random_gross(

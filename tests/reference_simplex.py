@@ -10,6 +10,7 @@ cannot agree with it by construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional
 
 from grossone.arith import ZERO, GrossNumber, as_gross, compare
@@ -19,6 +20,36 @@ from grossone.simplex import Basis, LpStandardForm
 
 def basis_matrix(lp: LpStandardForm, basis: Basis) -> List[List[Fraction]]:
     return [[lp.a[i][j] for j in basis] for i in range(lp.m)]
+
+
+def integer_scaled_basis_matrix(lp: LpStandardForm, basis: Basis) -> List[List[Fraction]]:
+    """A_B with row i multiplied by the lcm of the denominators of row i of
+    ``[A | b]``: the basis matrix of the integer system the tableau holds."""
+    matrix = []
+    for row, bi in zip(lp.a, lp.b):
+        scale = 1
+        for v in row + (bi,):
+            scale = scale * v.denominator // gcd(scale, v.denominator)
+        matrix.append([row[j] * scale for j in basis])
+    return matrix
+
+
+def determinant(matrix: List[List[Fraction]]) -> Fraction:
+    """Rational Gaussian elimination with row swaps."""
+    rows = [list(row) for row in matrix]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            factor = rows[i][k] / rows[k][k]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
+    return det
 
 
 def basic_solution(lp: LpStandardForm, basis: Basis) -> List[Fraction]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_arith as ref
-from grossone.arith import ArithConfig, GrossNumber
+from grossone.arith import ArithConfig, GrossNumber, compare
 
 F = Fraction
 
@@ -61,3 +61,31 @@ def test_negative_power_matches_reference_division(order, a, exponent):
     config = ArithConfig(truncation_order=order)
     expected = ref.divide(ref.ONE, ref.power(a, exponent), config)
     assert a.power(-exponent, config).terms == expected.terms
+
+
+@st.composite
+def overlapping_pairs(draw):
+    """Pairs that often agree on a prefix of their terms, so that the walk
+    in ``compare`` has to reach a lower grosspower before it decides."""
+    a = draw(rational_gross)
+    kept = draw(st.integers(0, len(a.terms)))
+    b = GrossNumber(a.terms[:kept] + draw(gross_numbers(rational_digits, max_size=3)).terms)
+    return draw(st.permutations((a, b)))
+
+
+@given(pair=st.one_of(st.tuples(rational_gross, rational_gross), overlapping_pairs()))
+@settings(deadline=None, max_examples=300)
+def test_compare_matches_sign_of_reference_difference(pair):
+    a, b = pair
+    expected = ref.sub(a, b).sign()
+    assert compare(a, b) == expected
+    assert ((a < b), (a <= b), (a > b), (a >= b)) == (
+        expected < 0, expected <= 0, expected > 0, expected >= 0
+    )
+
+
+@given(a=rational_gross, scalar=st.one_of(st.integers(-5, 5), rational_digits))
+@settings(deadline=None, max_examples=100)
+def test_compare_with_scalar_matches_reference(a, scalar):
+    b = GrossNumber([(0, scalar)])
+    assert compare(a, scalar) == ref.sub(a, b).sign() == -compare(scalar, a)

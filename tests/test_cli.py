@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from grossone import simplex
 from grossone.cli import main
 
 from helpers import DATA_DIR, INSTANCE_DIR
@@ -138,6 +139,40 @@ class TestLpSolve:
         assert "status: iteration_limit" in out
 
 
+class TestLpSolverFailures:
+    """Broken simplex invariants exit 5 with one line naming the phase or
+    rule; each is forced by patching the step that guarantees it."""
+
+    def assert_failure(self, capsys, args, message):
+        code, out = run(args)
+        assert (code, out) == (5, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_grossone_ratio_tie_exit(self, monkeypatch, capsys):
+        monkeypatch.setattr(simplex, "compare", lambda a, b: 0)
+        self.assert_failure(
+            capsys, ["lp", "solve", BEALE], "grossone ratio test: perturbed ratios tie"
+        )
+
+    def test_lexicographic_ratio_tie_exit(self, monkeypatch, capsys):
+        monkeypatch.setattr(simplex, "_argmin_rows", lambda rows, values: list(rows))
+        self.assert_failure(
+            capsys,
+            ["lp", "solve", BEALE, "--leaving", "lexicographic"],
+            "lexicographic ratio test: tie-break exhausted",
+        )
+
+    def test_phase_one_short_of_optimum_exit(self, monkeypatch, capsys):
+        monkeypatch.setattr(simplex.phase1, "__defaults__", (1,))
+        self.assert_failure(
+            capsys,
+            ["lp", "solve", "random:4x8", "--seed", "1"],
+            "phase one: auxiliary solve ended with status iteration_limit",
+        )
+
+
 class TestLpCompare:
     def test_beale_identical(self):
         code, out = run(["lp", "compare", BEALE])
@@ -238,7 +273,16 @@ class TestNlpPenalty:
         code, out = run(["nlp", "penalty", str(path)])
         assert (code, out) == (5, "")
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == "error: Newton step 1: singular Jacobian (no nonzero pivot in column 0)\n"
+
+    def test_newton_divergence_message(self, tmp_path, capsys):
+        # The Hessian 12 x1^2 + 2 is regular everywhere, so every step is
+        # taken and the step budget runs out.
+        path = tmp_path / "quartic.nlp"
+        path.write_text("n 1\nf: x1^4 + x1^2 - x1\n")
+        code, out = run(["nlp", "penalty", str(path), "--max-iter", "3"])
+        assert (code, out) == (5, "")
+        assert capsys.readouterr().err == "error: no stationary point within 3 Newton steps\n"
 
     def test_parse_error_exit(self, tmp_path):
         path = tmp_path / "bad.nlp"
