@@ -19,8 +19,7 @@ or a fixed user-supplied preference order.  Leaving rules:
 All iteration linear algebra is exact and, on the solve path, integer.  A
 Tableau holds integer rows over one positive denominator d (the rows of
 ``[A | b]`` scaled to integers, d = |det| of the scaled basis matrix).
-Phase one starts from a basis that is the identity in the sign-flipped
-rows, so its tableau is those rows and no system is solved; every later
+Phase one's starting tableau comes from one rational solve; every later
 pivot, in phase one and phase two, is a fraction-free Edmonds-Bareiss update
 with exact integer division.  The grossone rule, the reduced costs and the
 perturbed objective all read signs and ratios off those integers; only the
@@ -95,7 +94,6 @@ class LpFormatError(ValueError):
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _as_fraction(value) -> Fraction:
@@ -242,10 +240,10 @@ class Tableau:
     d, with c scaled to the integers ``costs`` by ``cost_scale``, the lcm of
     its denominators: true value = ``objective[j] / (d * cost_scale)``.
 
-    A fresh basis costs one fraction-free Gauss-Jordan pass; an identity
-    start adopts its rows without one.  ``pivot`` is the Edmonds-Bareiss
+    A fresh basis costs one rational solve, put over d by a fraction-free
+    determinant of the scaled basis matrix.  ``pivot`` is the Edmonds-Bareiss
     integer update of all m + 1 rows, whose divisions are exact, so no
-    later basis is factorized afresh and no entry is ever normalized by a
+    later basis is factorized afresh and no pivot normalizes an entry by a
     gcd.  Because row k belongs to basis position k, ``A_B^-1 A_B0`` is
     simply the tableau's columns at the initial basis B0.
     """
@@ -259,23 +257,17 @@ class Tableau:
         rows: Optional[List[List[int]]] = None,
         denominator: int = 1,
     ):
-        """Eliminate for the tableau of ``basis``, or adopt integer ``rows``
-        with ``rows / denominator`` already equal to it."""
+        """Solve for the tableau of ``basis``, or adopt integer ``rows`` with
+        ``rows / denominator`` already equal to it."""
         self.lp = lp
         if rows is None:
-            # Fraction-free Gauss-Jordan: pivot each basis column into its
-            # position, swapping in a later row where the entry is 0.
-            rows = self.rows = [
-                _times(values, _lcm_of_denominators(values))
-                for values in (row + (bi,) for row, bi in zip(lp.a, lp.b))
-            ]
-            self.denominator = 1
-            for position, j in enumerate(basis):
-                pivot_row = next((i for i in range(position, lp.m) if rows[i][j]), None)
-                if pivot_row is None:
-                    raise SingularMatrixError(f"basis column {j} is dependent")
-                rows[position], rows[pivot_row] = rows[pivot_row], rows[position]
-                self._eliminate(position, j)
+            # One rational solve gives the tableau; d = |det(S A_B)| puts it
+            # over integers.
+            a_b = [[lp.a[i][j] for j in basis] for i in range(lp.m)]
+            columns = solve_rational_columns(a_b, [lp.column(j) for j in range(lp.n)] + [lp.b])
+            scales = (_lcm_of_denominators(row + (bi,)) for row, bi in zip(lp.a, lp.b))
+            d = self.denominator = _abs_det([_times(row, s) for row, s in zip(a_b, scales)])
+            self.rows = [_times([column[i] for column in columns], d) for i in range(lp.m)]
         else:
             self.rows = rows
             self.denominator = denominator
@@ -315,6 +307,20 @@ class Tableau:
             x[j] = Fraction(self.rows[position][-1], self.denominator)
         value = sum(cj * xj for cj, xj in zip(self.lp.c, x))
         return tuple(x), value
+
+
+def _abs_det(matrix: List[List[int]]) -> int:
+    """``|det|`` of a nonsingular integer matrix by Bareiss elimination."""
+    rows = [list(row) for row in matrix]
+    d = 1
+    for k in range(len(rows)):
+        pivot_row = next(i for i in range(k, len(rows)) if rows[i][k])
+        rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+        if rows[k][k] < 0:
+            rows[k] = [-v for v in rows[k]]
+        rows[k + 1:] = [_bareiss(row, rows[k], k, d) for row in rows[k + 1:]]
+        d = rows[k][k]
+    return d
 
 
 def _bareiss(target: List[int], pivot_row: List[int], entering: int, d: int) -> List[int]:
@@ -548,45 +554,42 @@ def phase1(lp: LpStandardForm, max_iter: int = 10_000) -> Optional[Tableau]:
 
     Rows with negative right-hand side are sign-flipped, existing unit
     columns are reused, and artificial variables cover the remaining rows.
-    That starting basis is the identity in the flipped rows, so its tableau
-    is those rows themselves and needs no elimination.  The auxiliary
-    problem runs with the grossone leaving rule, so phase one itself cannot
-    cycle; if it still stops short of an optimum, PhaseOneError is raised.
-    Artificial columns still basic (at zero) after the auxiliary solve are
-    pivoted out; if one cannot be, A has rank < m and RankDeficiencyError is
-    raised.  The returned tableau is the auxiliary one without its
-    artificial columns: the row sign flips D cancel, as
+    The auxiliary problem runs with the grossone leaving rule, so phase one
+    itself cannot cycle; if it still stops short of an optimum,
+    PhaseOneError is raised.  Artificial columns still basic (at zero) after
+    the auxiliary solve are pivoted out; if one cannot be, A has rank < m and
+    RankDeficiencyError is raised.  The returned tableau is the auxiliary
+    one without its artificial columns: the row sign flips D cancel, as
     ``(D A_B)^-1 D A = A_B^-1 A``.
     """
     m, n = lp.m, lp.n
-    flipped = [row if bi >= 0 else tuple(-v for v in row) for row, bi in zip(lp.a, lp.b)]
-    rhs = tuple(abs(bi) for bi in lp.b)
-    # Row i scaled to integers by s_i leaves an identity basis as diag(s), so
-    # the starting denominator is the product of the s_i.
-    d = math.prod(_lcm_of_denominators(row + (bi,)) for row, bi in zip(flipped, rhs))
-    rows = [_times(row + (bi,), d) for row, bi in zip(flipped, rhs)]
+    rows = [list(row) for row in lp.a]
+    rhs = list(lp.b)
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
 
     unit_for_row: Dict[int, int] = {}
-    for j in range(n):
-        nonzero = [i for i in range(m) if rows[i][j]]
-        if len(nonzero) == 1 and rows[nonzero[0]][j] == d:
-            unit_for_row.setdefault(nonzero[0], j)
+    used = set()
+    for i in range(m):
+        for j in range(n):
+            if j in used:
+                continue
+            if rows[i][j] == 1 and all(rows[k][j] == 0 for k in range(m) if k != i):
+                unit_for_row[i] = j
+                used.add(j)
+                break
     if len(unit_for_row) == m:
-        return Tableau(lp, Basis(tuple(unit_for_row[i] for i in range(m))), rows, d)
+        return Tableau(lp, Basis(tuple(unit_for_row[i] for i in range(m))))
 
     artificial_rows = [i for i in range(m) if i not in unit_for_row]
-    aux_lp = LpStandardForm(
-        tuple(
-            row + tuple(_ONE if i == k else _ZERO for k in artificial_rows)
-            for i, row in enumerate(flipped)
-        ),
-        rhs,
-        (_ZERO,) * n + (_ONE,) * len(artificial_rows),
-    )
     aux_rows = [
-        row[:-1] + [d if i == k else 0 for k in artificial_rows] + row[-1:]
+        row + [Fraction(1) if (i == k) else Fraction(0) for k in artificial_rows]
         for i, row in enumerate(rows)
     ]
+    aux_c = [Fraction(0)] * n + [Fraction(1)] * len(artificial_rows)
+    aux_lp = LpStandardForm(tuple(map(tuple, aux_rows)), tuple(rhs), tuple(aux_c))
     start_indices = []
     next_artificial = n
     for i in range(m):
@@ -595,7 +598,7 @@ def phase1(lp: LpStandardForm, max_iter: int = 10_000) -> Optional[Tableau]:
         else:
             start_indices.append(next_artificial)
             next_artificial += 1
-    tableau = Tableau(aux_lp, Basis(tuple(start_indices)), aux_rows, d)
+    tableau = Tableau(aux_lp, Basis(tuple(start_indices)))
     outcome = _simplex_loop(tableau, "dantzig", "grossone", None, max_iter)
     if outcome.status is not SolveStatus.OPTIMAL:
         raise PhaseOneError(
