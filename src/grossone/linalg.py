@@ -6,15 +6,17 @@ pivoting picks the entry with the greatest leading grosspower, then the
 largest leading-digit magnitude, so the algorithm never divides by an
 infinitesimal while a larger-order pivot is available.
 
-The rational helpers (solve_rational_columns, solve_rational_vector,
-rational_rank) run plain exact Gaussian elimination on Fraction matrices.
-They build the starting tableau of each simplex solve and back the
-lexicographic oracle, the vertex enumeration, the instance generator and
-the constraint-qualification rank checks.
+The rational helpers are exact: solve_rational_columns and
+solve_rational_vector run fraction-free elimination on integer-scaled rows,
+rational_rank runs Gaussian elimination on Fraction matrices.  They build
+the starting tableau of each simplex solve and back the lexicographic
+oracle, the vertex enumeration, the instance generator and the
+constraint-qualification rank checks.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
@@ -201,7 +203,13 @@ def solve_rational_columns(
     matrix: Sequence[Sequence[Fraction]],
     rhs_columns: Sequence[Sequence[Fraction]],
 ) -> List[List[Fraction]]:
-    """Solve A X = B exactly for Fraction matrices; B given column by column."""
+    """Solve A X = B exactly for Fraction matrices; B given column by column.
+
+    Each row of ``[A | B]`` is scaled to integers by the lcm of its
+    denominators, which leaves X unchanged, and reduced by fraction-free
+    (Bareiss) Gauss-Jordan elimination: every division is exact and every
+    entry stays an integer, so the only Fractions built are those of X.
+    """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
@@ -209,30 +217,32 @@ def solve_rational_columns(
     if any(len(col) != n for col in rhs_columns):
         raise ValueError("rhs columns must match the matrix size")
     rows = [
-        [Fraction(matrix[i][j]) for j in range(n)]
-        + [Fraction(rhs_columns[c][i]) for c in range(k)]
+        _integer_row([matrix[i][j] for j in range(n)] + [rhs_columns[c][i] for c in range(k)])
         for i in range(n)
     ]
+    previous = 1
     for col in range(n):
         pivot_row = next((i for i in range(col, n) if rows[i][col] != 0), None)
         if pivot_row is None:
             raise SingularMatrixError(f"no nonzero pivot in column {col}")
         if pivot_row != col:
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        pivot = rows[col][col]
-        for i in range(col + 1, n):
-            if rows[i][col] == 0:
-                continue
-            factor = rows[i][col] / pivot
-            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
-    solutions = [[Fraction(0)] * n for _ in range(k)]
-    for c in range(k):
-        for i in range(n - 1, -1, -1):
-            total = rows[i][n + c]
-            for j in range(i + 1, n):
-                total -= rows[i][j] * solutions[c][j]
-            solutions[c][i] = total / rows[i][i]
-    return solutions
+        pivot_entries = rows[col]
+        pivot = pivot_entries[col]
+        for i in range(n):
+            if i != col:
+                factor = rows[i][col]
+                rows[i] = [(a * pivot - factor * b) // previous for a, b in zip(rows[i], pivot_entries)]
+        previous = pivot
+    # Every row now reads ``previous`` on the diagonal and ``previous * X`` on the right.
+    return [[Fraction(rows[i][n + c], previous) for i in range(n)] for c in range(k)]
+
+
+def _integer_row(values: Sequence) -> List[int]:
+    """``values`` as rationals, times the lcm of their denominators."""
+    rationals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in rationals))
+    return [v.numerator * (scale // v.denominator) for v in rationals]
 
 
 def solve_rational_vector(

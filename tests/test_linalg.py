@@ -134,6 +134,31 @@ class TestRationalSolvers:
         for col, solution in zip(cols, stacked):
             assert solve_rational_vector(rows, col) == solution
 
+    def test_columns_round_trip_with_swaps_and_signs(self):
+        # Zero entries force row swaps and rows with a zero in the pivot
+        # column; signs give negative pivots; rows mix denominators.
+        rng = random.Random(9)
+        solved = 0
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            rows = [
+                [rng.choice((F(0), random_fraction(rng, 9))) for _ in range(n)]
+                for _ in range(n)
+            ]
+            cols = [[random_fraction(rng, 9) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+            try:
+                solutions = solve_rational_columns(rows, cols)
+            except SingularMatrixError:
+                assert rational_rank(rows) < n
+                continue
+            solved += 1
+            for col, x in zip(cols, solutions):
+                assert [sum(rows[i][j] * x[j] for j in range(n)) for i in range(n)] == col
+        assert solved > 20
+
+    def test_accepts_ints_and_strings(self):
+        assert solve_rational_vector([[0, 2], ["1/3", 0]], [1, -1]) == [F(-3), F(1, 2)]
+
     def test_rank(self):
         assert rational_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
         assert rational_rank([[F(1), F(0)], [F(0), F(1)]]) == 2
