@@ -29,7 +29,6 @@ from .linalg import (
     GrossMatrix,
     GrossVector,
     SingularMatrixError,
-    matvec,
     rational_rank,
     solve_linear,
     solve_rational_columns,
@@ -80,7 +79,6 @@ from .penalty import (
     check_constraint_qualification,
     extract_certificate,
     parse_nlp,
-    penalty_gradient,
     sequential_penalty_baseline,
     stationary_solve,
     verify_kkt,

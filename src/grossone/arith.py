@@ -49,11 +49,6 @@ __all__ = [
     "GROSSONE_INVERSE",
     "as_gross",
     "compare",
-    "div",
-    "evaluate_at",
-    "make",
-    "parse",
-    "to_text",
 ]
 
 Scalar = Union[int, Fraction, "GrossNumber"]
@@ -540,7 +535,7 @@ GROSSONE = GrossNumber([(1, 1)])
 GROSSONE_INVERSE = GrossNumber([(-1, 1)])
 
 
-# -- operation-style module interface ------------------------------------------
+# -- module-level functions: as_gross and compare ------------------------------
 
 
 def as_gross(value: Scalar) -> GrossNumber:
@@ -551,15 +546,6 @@ def as_gross(value: Scalar) -> GrossNumber:
     return coerced
 
 
-def make(terms: Iterable[Tuple[int, object]]) -> GrossNumber:
-    """Build a normalized gross-number from (grosspower, grossdigit) pairs."""
-    return GrossNumber(terms)
-
-
-def div(a: Scalar, b: Scalar, config: ArithConfig = DEFAULT_CONFIG) -> GrossNumber:
-    return as_gross(a).divide(b, config)
-
-
 def compare(a: Scalar, b: Scalar) -> int:
     """-1, 0 or 1 as a < b, a == b or a > b, i.e. ``sign(a - b)``.
 
@@ -567,16 +553,3 @@ def compare(a: Scalar, b: Scalar) -> int:
     first difference decides; ``a - b`` is never built.
     """
     return _compare_terms(as_gross(a)._terms, as_gross(b)._terms)
-
-
-def evaluate_at(a: Scalar, point) -> Fraction:
-    return as_gross(a).evaluate_at(point)
-
-
-def parse(text: str) -> GrossNumber:
-    return GrossNumber.parse(text)
-
-
-def to_text(a: Scalar) -> str:
-    """Canonical text form, the inverse of parse()."""
-    return str(as_gross(a))

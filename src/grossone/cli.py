@@ -13,7 +13,6 @@ import argparse
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -67,27 +66,13 @@ class _UsageError(Exception):
     pass
 
 
+class _InputError(Exception):
+    """An input file that cannot be read as UTF-8 text."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 64 instead of argparse's 2
         raise _UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    """Flags of one invocation, normalized per subcommand."""
-
-    subcommand: str
-    input_path: Optional[str] = None
-    expression: Optional[str] = None
-    entering: str = "dantzig"
-    leaving: str = "grossone"
-    truncation: int = 8
-    max_iter: int = 1000
-    trace: bool = False
-    seed: Optional[int] = None
-
-    def arith_config(self) -> ArithConfig:
-        return ArithConfig(truncation_order=self.truncation)
 
 
 def build_parser() -> _Parser:
@@ -126,31 +111,30 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _run_config(namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=f"{namespace.group} {namespace.action}")
-    cfg.input_path = getattr(namespace, "input", None)
-    cfg.expression = getattr(namespace, "expression", None)
-    entering = getattr(namespace, "entering", "dantzig")
-    cfg.entering = "fixed_order" if entering == "fixed" else entering
-    cfg.leaving = getattr(namespace, "leaving", "grossone")
-    cfg.truncation = getattr(namespace, "trunc", 8)
-    cfg.max_iter = getattr(namespace, "max_iter", 1000)
-    cfg.trace = getattr(namespace, "trace", False)
-    cfg.seed = getattr(namespace, "seed", None)
-    if cfg.truncation < 1:
+def _check_counts(args) -> None:
+    if getattr(args, "trunc", 1) < 1:
         raise _UsageError("--trunc must be at least 1")
-    if cfg.max_iter < 1:
+    if getattr(args, "max_iter", 1) < 1:
         raise _UsageError("--max-iter must be at least 1")
-    return cfg
 
 
 def _format_vector(values: Sequence) -> str:
     return "(" + ", ".join(str(v) for v in values) + ")"
 
 
-def _load_lp(cfg: RunConfig) -> tuple[LpStandardForm, random.Random | None]:
-    rng = random.Random(cfg.seed) if cfg.seed is not None else None
-    match = _RANDOM_SPEC.match(cfg.input_path)
+def _read_input(path: str) -> str:
+    """The text of an input file; an unreadable or non-UTF-8 file is a
+    parse error."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _InputError(str(exc)) from None
+
+
+def _load_lp(args) -> tuple[LpStandardForm, random.Random | None]:
+    rng = random.Random(args.seed) if args.seed is not None else None
+    match = _RANDOM_SPEC.match(args.input)
     if match:
         if rng is None:
             raise _UsageError("random:<m>x<n> inputs require --seed")
@@ -159,24 +143,27 @@ def _load_lp(cfg: RunConfig) -> tuple[LpStandardForm, random.Random | None]:
             return random_degenerate_lp(rng, m, n), rng
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
-    with open(cfg.input_path, "r", encoding="utf-8") as handle:
-        return parse_lp(handle.read()), rng
+    return parse_lp(_read_input(args.input)), rng
 
 
-def _entering_order(cfg: RunConfig, lp: LpStandardForm, rng: random.Random | None):
-    if cfg.entering != "fixed_order":
+def _entering_rule(args) -> str:
+    return "fixed_order" if args.entering == "fixed" else args.entering
+
+
+def _entering_order(args, lp: LpStandardForm, rng: random.Random | None):
+    if args.entering != "fixed":
         return None
     if rng is not None:
         return rng.sample(range(lp.n), lp.n)
     return list(reversed(range(lp.n)))
 
 
-def cmd_lp_solve(cfg: RunConfig, out) -> int:
-    lp, rng = _load_lp(cfg)
-    order = _entering_order(cfg, lp, rng)
-    outcome = solve(lp, entering=cfg.entering, leaving=cfg.leaving,
-                    order=order, max_iter=cfg.max_iter)
-    if cfg.trace:
+def cmd_lp_solve(args, out) -> int:
+    lp, rng = _load_lp(args)
+    order = _entering_order(args, lp, rng)
+    outcome = solve(lp, entering=_entering_rule(args), leaving=args.leaving,
+                    order=order, max_iter=args.max_iter)
+    if args.trace:
         for line in outcome.trace.format_lines():
             print(line, file=out)
     print(f"status: {outcome.status.value}", file=out)
@@ -187,13 +174,14 @@ def cmd_lp_solve(cfg: RunConfig, out) -> int:
     return _STATUS_EXIT[outcome.status]
 
 
-def cmd_lp_compare(cfg: RunConfig, out) -> int:
-    lp, rng = _load_lp(cfg)
-    order = _entering_order(cfg, lp, rng)
-    first = solve(lp, entering=cfg.entering, leaving="grossone",
-                  order=order, max_iter=cfg.max_iter)
-    second = solve(lp, entering=cfg.entering, leaving="lexicographic",
-                   order=order, max_iter=cfg.max_iter)
+def cmd_lp_compare(args, out) -> int:
+    lp, rng = _load_lp(args)
+    order = _entering_order(args, lp, rng)
+    entering = _entering_rule(args)
+    first = solve(lp, entering=entering, leaving="grossone",
+                  order=order, max_iter=args.max_iter)
+    second = solve(lp, entering=entering, leaving="lexicographic",
+                   order=order, max_iter=args.max_iter)
     for a, b in zip(first.trace.events, second.trace.events):
         if (a.entering, a.leaving, a.basis) != (b.entering, b.leaving, b.basis):
             print(
@@ -220,12 +208,11 @@ def _display_series(value: GrossNumber) -> GrossNumber:
     return GrossNumber((p, d) for p, d in value.terms if p >= -2)
 
 
-def cmd_nlp_penalty(cfg: RunConfig, out) -> int:
-    with open(cfg.input_path, "r", encoding="utf-8") as handle:
-        problem = parse_nlp(handle.read())
+def cmd_nlp_penalty(args, out) -> int:
+    problem = parse_nlp(_read_input(args.input))
     penalty_config = PenaltyConfig(
-        arith=ArithConfig(truncation_order=cfg.truncation),
-        newton_max_iter=cfg.max_iter,
+        arith=ArithConfig(truncation_order=args.trunc),
+        newton_max_iter=args.max_iter,
     )
     xstar = stationary_solve(problem, penalty_config)
     certificate = extract_certificate(problem, xstar)
@@ -323,17 +310,17 @@ class _GrossExprReader(_Scanner):
         return value
 
 
-def cmd_gross_eval(cfg: RunConfig, out) -> int:
-    result = _GrossExprReader(cfg.expression, cfg.arith_config()).read_all()
+def cmd_gross_eval(args, out) -> int:
+    result = _GrossExprReader(args.expression, ArithConfig(truncation_order=args.trunc)).read_all()
     print(str(result), file=out)
     return EXIT_OK
 
 
 _COMMANDS = {
-    "lp solve": cmd_lp_solve,
-    "lp compare": cmd_lp_compare,
-    "nlp penalty": cmd_nlp_penalty,
-    "gross eval": cmd_gross_eval,
+    ("lp", "solve"): cmd_lp_solve,
+    ("lp", "compare"): cmd_lp_compare,
+    ("nlp", "penalty"): cmd_nlp_penalty,
+    ("gross", "eval"): cmd_gross_eval,
 }
 
 
@@ -341,20 +328,17 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     try:
-        namespace = parser.parse_args(argv)
-        cfg = _run_config(namespace)
+        args = parser.parse_args(argv)
+        _check_counts(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[cfg.subcommand](cfg, out)
+        return _COMMANDS[args.group, args.action](args, out)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, LpFormatError, NlpFormatError, ZeroDivisionError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (_InputError, ParseError, LpFormatError, NlpFormatError, ZeroDivisionError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (

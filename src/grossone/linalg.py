@@ -1,10 +1,10 @@
 """Dense vectors and matrices over gross-numbers, plus exact rational solvers.
 
-The gross-number side supplies matrix-vector products (exact: add/mul only)
-and Gaussian elimination whose divisions truncate per ArithConfig.  Row
-pivoting picks the entry with the greatest leading grosspower, then the
-largest leading-digit magnitude, so the algorithm never divides by an
-infinitesimal while a larger-order pivot is available.
+The gross-number side supplies Gaussian elimination whose divisions
+truncate per ArithConfig.  Row pivoting picks the entry with the greatest
+leading grosspower, then the largest leading-digit magnitude, so the
+algorithm never divides by an infinitesimal while a larger-order pivot is
+available.
 
 The rational helpers are exact: solve_rational_columns and
 solve_rational_vector run fraction-free elimination on integer-scaled rows,
@@ -26,7 +26,6 @@ __all__ = [
     "GrossMatrix",
     "GrossVector",
     "SingularMatrixError",
-    "matvec",
     "solve_linear",
     "rational_rank",
     "solve_rational_columns",
@@ -101,10 +100,6 @@ class GrossMatrix:
             raise ValueError("matrix rows must all have the same length")
         self._rows = built
 
-    @classmethod
-    def identity(cls, n: int) -> "GrossMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def shape(self) -> Tuple[int, int]:
         return len(self._rows), len(self._rows[0])
@@ -123,20 +118,6 @@ class GrossMatrix:
 
     def __repr__(self) -> str:
         return f"GrossMatrix({[[str(e) for e in row] for row in self._rows]})"
-
-
-def matvec(matrix: GrossMatrix, vector: GrossVector) -> GrossVector:
-    """Exact matrix-vector product (no truncation: add/mul only)."""
-    m, n = matrix.shape
-    if len(vector) != n:
-        raise ValueError(f"shape mismatch: matrix is {m}x{n}, vector has length {len(vector)}")
-    result = []
-    for i in range(m):
-        total = ZERO
-        for j in range(n):
-            total = total + matrix[i, j] * vector[j]
-        result.append(total)
-    return GrossVector(result)
 
 
 def _pivot_key(entry: GrossNumber):

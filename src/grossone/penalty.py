@@ -59,7 +59,6 @@ __all__ = [
     "check_constraint_qualification",
     "extract_certificate",
     "parse_nlp",
-    "penalty_gradient",
     "sequential_penalty_baseline",
     "stationary_solve",
     "verify_kkt",
@@ -127,17 +126,11 @@ class PenaltyConfig:
 @dataclass(frozen=True)
 class KktCertificate:
     """Finite point and multipliers read off a stationary point; it carries
-    no residuals, ``verify_kkt`` measures them from (x0, mu, pi).
-
-    mu_next_order records the G^-1 coefficient of G*g_i(x*) for each
-    inequality (0 for inactive ones); it is reported but never interpreted —
-    only the finite part enters the multipliers.
-    """
+    no residuals, ``verify_kkt`` measures them from (x0, mu, pi)."""
 
     x0: Tuple[Fraction, ...]
     mu: Tuple[Fraction, ...]
     pi: Tuple[Fraction, ...]
-    mu_next_order: Tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
         if any(v < 0 for v in self.mu):
@@ -248,20 +241,6 @@ def _jacobian_at(
     return GrossMatrix(rows)
 
 
-def penalty_gradient(
-    problem: NlpProblem,
-    x: GrossVector,
-    weight: GrossNumber = GROSSONE,
-) -> GrossVector:
-    """Gradient of the penalty at x: grad f + weight * (sum_i grad g_i *
-    max{0, g_i} + sum_j grad h_j * h_j).  The max is decided by the
-    gross-number sign of g_i(x).  Exact (no truncation)."""
-    if len(x) != problem.dimension:
-        raise ValueError(f"point has length {len(x)}, expected {problem.dimension}")
-    tables = _DerivativeTables(problem)
-    return _gradient_at(tables, x, weight, _penalized_at(tables, x))
-
-
 def _within_tol(gradient: GrossVector, tol: Fraction) -> bool:
     for entry in gradient:
         for power, digit in entry.terms:
@@ -336,7 +315,6 @@ def extract_certificate(problem: NlpProblem, xstar: GrossVector) -> KktCertifica
         for h in problem.equalities
     )
     mu: List[Fraction] = []
-    mu_next: List[Fraction] = []
     for position, g in enumerate(problem.inequalities):
         value = eval_gross(g, xstar)
         order_zero = Fraction(value.finite_part())
@@ -347,12 +325,10 @@ def extract_certificate(problem: NlpProblem, xstar: GrossVector) -> KktCertifica
             )
         if order_zero < 0:
             mu.append(Fraction(0))
-            mu_next.append(Fraction(0))
         else:
             lifted = GROSSONE * value
             mu.append(max(Fraction(0), Fraction(lifted.finite_part())))
-            mu_next.append(Fraction(lifted.coefficient(-1)))
-    return KktCertificate(x0, tuple(mu), pi, tuple(mu_next))
+    return KktCertificate(x0, tuple(mu), pi)
 
 
 def check_constraint_qualification(

@@ -6,12 +6,21 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from grossone.arith import GrossNumber
+from grossone.arith import ZERO, GrossNumber
+from grossone.linalg import GrossMatrix, GrossVector
 from grossone.polyexpr import PolyExpr, eval_rational
 from grossone.simplex import LpStandardForm, random_degenerate_lp
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 DATA_DIR = Path(__file__).resolve().parent / "data"
+
+
+def matvec(matrix: GrossMatrix, vector: GrossVector) -> GrossVector:
+    """Exact matrix-vector product (add/mul only), for residual checks."""
+    m, n = matrix.shape
+    if len(vector) != n:
+        raise ValueError(f"shape mismatch: matrix is {m}x{n}, vector has length {len(vector)}")
+    return GrossVector(sum((matrix[i, j] * vector[j] for j in range(n)), ZERO) for i in range(m))
 
 
 def random_fraction(rng: random.Random, bound: int = 100) -> Fraction:

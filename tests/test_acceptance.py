@@ -17,7 +17,6 @@ from grossone.arith import (
     ONE,
     ZERO,
     compare,
-    evaluate_at,
 )
 from grossone.cli import main
 from grossone.penalty import (
@@ -114,7 +113,7 @@ def test_criterion_3_order_oracle():
         for _ in range(1000):
             a = random_gross(rng)
             b = random_gross(rng)
-            evaluated = evaluate_at(a - b, point)
+            evaluated = (a - b).evaluate_at(point)
             expected = 0 if evaluated == 0 else (1 if evaluated > 0 else -1)
             assert compare(a, b) == expected
 

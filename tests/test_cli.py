@@ -298,6 +298,29 @@ class TestNlpPenalty:
         assert capsys.readouterr().err == "parse error: line 1: dimension must be at least 1\n"
 
 
+class TestUnreadableInput:
+    """An input that cannot be read as UTF-8 text is a parse error: exit 65
+    and one line on stderr."""
+
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    @pytest.mark.parametrize(
+        "command",
+        [["lp", "solve"], ["lp", "compare"], ["nlp", "penalty"]],
+        ids=["lp-solve", "lp-compare", "nlp-penalty"],
+    )
+    def test_parse_error_exit(self, tmp_path, capsys, command, kind):
+        if kind == "directory":
+            path = tmp_path
+        else:
+            path = tmp_path / "utf16.txt"
+            path.write_bytes(b"\xff\xfe" + "n 1\nf: x1\n".encode("utf-16-le"))
+        code, out = run(command + [str(path)])
+        assert (code, out) == (65, "")
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestUsage:
     def test_unknown_subcommand(self):
         code, _ = run(["lp", "frobnicate"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import grossone.penalty
-from grossone.arith import ArithConfig, GROSSONE, as_gross, make
+from grossone.arith import ArithConfig, GROSSONE, GrossNumber, as_gross
 from grossone.linalg import GrossMatrix, GrossVector, SingularMatrixError
 from grossone.penalty import (
     InfeasibleStationaryError,
@@ -15,7 +15,6 @@ from grossone.penalty import (
     check_constraint_qualification,
     extract_certificate,
     parse_nlp,
-    penalty_gradient,
     sequential_penalty_baseline,
     stationary_solve,
     verify_kkt,
@@ -71,33 +70,54 @@ class TestParseNlp:
 
 
 class TestPenaltyGradient:
-    def test_equality_example_at_generic_point(self, quadratic_equality):
-        gradient = penalty_gradient(quadratic_equality, GrossVector([2, 3]))
+    """The penalty gradient as the solver uses it: where Newton steps, the
+    right-hand side of its first system is minus the gradient at the start;
+    where the gradient vanishes, the start comes back without a step."""
+
+    @pytest.fixture
+    def systems(self, monkeypatch):
+        """Every (jacobian, rhs) handed to solve_linear, recorded before the
+        solve so that a singular system is recorded too."""
+        captured = []
+        real_solve = grossone.penalty.solve_linear
+
+        def capturing_solve(jacobian, rhs, config):
+            captured.append((jacobian, rhs))
+            return real_solve(jacobian, rhs, config)
+
+        monkeypatch.setattr(grossone.penalty, "solve_linear", capturing_solve)
+        return captured
+
+    def test_equality_example_at_generic_point(self, quadratic_equality, systems):
+        stationary_solve(quadratic_equality, PenaltyConfig(start=(F(2), F(3))))
         # (x1 + G*(x1+x2-1), x2/3 + G*(x1+x2-1)) at (2, 3)
-        assert gradient[0] == make([(1, 4), (0, 2)])
-        assert gradient[1] == make([(1, 4), (0, 1)])
+        gradient = GrossVector([GrossNumber([(1, 4), (0, 2)]), GrossNumber([(1, 4), (0, 1)])])
+        assert systems[0][1] == -gradient
 
-    def test_inactive_inequality_contributes_nothing(self, linear_bound):
-        gradient = penalty_gradient(linear_bound, GrossVector([2]))
-        assert gradient[0] == make([(0, 1)])
+    def test_inactive_inequality_contributes_nothing(self, linear_bound, systems):
+        # Only f = x1 remains, whose Hessian is zero: the system is singular.
+        with pytest.raises(SingularMatrixError):
+            stationary_solve(linear_bound, PenaltyConfig(start=(F(2),)))
+        assert systems[0][1] == -GrossVector([1])
 
-    def test_active_inequality_below_bound(self, linear_bound):
-        gradient = penalty_gradient(linear_bound, GrossVector([F(1, 2)]))
+    def test_active_inequality_below_bound(self, linear_bound, systems):
+        stationary_solve(linear_bound, PenaltyConfig(start=(F(1, 2),)))
         # 1 - G*(1 - x) at x = 1/2
-        assert gradient[0] == make([(1, F(-1, 2)), (0, 1)])
+        assert systems[0][1] == -GrossVector([GrossNumber([(1, F(-1, 2)), (0, 1)])])
 
-    def test_zero_at_feasible_unconstrained_minimum(self):
+    def test_zero_at_feasible_unconstrained_minimum(self, systems):
         problem = parse_nlp("n 2\nf: 7\nh: x1 + x2 - 1")
-        gradient = penalty_gradient(problem, GrossVector([F(1, 2), F(1, 2)]))
-        assert all(entry.is_zero() for entry in gradient)
+        start = (F(1, 2), F(1, 2))
+        assert stationary_solve(problem, PenaltyConfig(start=start)) == GrossVector(start)
+        assert systems == []
 
-    def test_activity_uses_full_gross_sign(self, linear_bound):
+    def test_activity_uses_full_gross_sign(self, linear_bound, systems):
         # g = G^-1 > 0 counts as active even though its finite part is zero.
-        xstar = GrossVector([make([(0, 1), (-1, -1)])])
+        xstar = GrossVector([GrossNumber([(0, 1), (-1, -1)])])
         value = eval_gross(linear_bound.inequalities[0], xstar)
         assert value.finite_part() == 0 and value.sign() > 0
-        gradient = penalty_gradient(linear_bound, xstar)
-        assert gradient[0].is_zero()
+        assert stationary_solve(linear_bound, PenaltyConfig(start=tuple(xstar))) == xstar
+        assert systems == []
 
 
 class TestStationarySolve:
@@ -112,7 +132,7 @@ class TestStationarySolve:
 
     def test_bound_example_exact(self, linear_bound):
         xstar = stationary_solve(linear_bound)
-        assert xstar[0] == make([(0, 1), (-1, -1)])
+        assert xstar[0] == GrossNumber([(0, 1), (-1, -1)])
 
     def test_pure_quadratic_stays_at_origin(self):
         problem = parse_nlp("n 2\nf: 1/2*x1^2 + 1/2*x2^2")
@@ -122,7 +142,7 @@ class TestStationarySolve:
     def test_one_step_exactness_for_linear_systems(self, quadratic_equality):
         config = PenaltyConfig(newton_max_iter=1)
         xstar = stationary_solve(quadratic_equality, config)
-        gradient = penalty_gradient(quadratic_equality, xstar)
+        gradient = newton_system(quadratic_equality, xstar, GROSSONE)[0]
         cutoff = -config.arith.truncation_order + 1
         for entry in gradient:
             assert entry.is_zero() or entry.leading_power <= cutoff
@@ -170,7 +190,6 @@ class TestExtractCertificate:
         assert certificate.x0 == (F(1),)
         assert certificate.mu == (F(1),)
         assert certificate.pi == ()
-        assert certificate.mu_next_order == (F(0),)
 
     def test_interior_point_gets_zero_multipliers(self):
         problem = parse_nlp("n 1\nf: x1^2\ng: x1 - 10")
@@ -197,8 +216,8 @@ class TestExtractCertificate:
             t = F(rng.randint(-20, 20), rng.randint(1, 9))
             s = F(rng.randint(-20, 20), rng.randint(1, 9))
             point = GrossVector([
-                make([(0, a), (-1, t)]),
-                make([(0, 1 - a), (-1, s)]),
+                GrossNumber([(0, a), (-1, t)]),
+                GrossNumber([(0, 1 - a), (-1, s)]),
             ])
             value = eval_gross(h, point)
             assert value.finite_part() == 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import reference_poly
-from grossone.arith import ParseError, make
+from grossone.arith import GrossNumber, ParseError
 from grossone.linalg import GrossVector
 from grossone.polyexpr import differentiate, eval_gross, eval_rational, parse_expr
 
@@ -144,8 +144,8 @@ class TestEvalGross:
     def test_constraint_series(self):
         expr = parse_expr("x1 + x2 - 1", 2)
         point = GrossVector([
-            make([(0, F(1, 4)), (-1, F(-1, 16))]),
-            make([(0, F(3, 4)), (-1, F(-3, 16))]),
+            GrossNumber([(0, F(1, 4)), (-1, F(-1, 16))]),
+            GrossNumber([(0, F(3, 4)), (-1, F(-3, 16))]),
         ])
         value = eval_gross(expr, point)
         assert value.finite_part() == 0
@@ -153,11 +153,11 @@ class TestEvalGross:
 
     def test_bound_constraint_series(self):
         expr = parse_expr("1 - x1", 1)
-        value = eval_gross(expr, GrossVector([make([(0, 1), (-1, -1)])]))
-        assert value == make([(-1, 1)])
+        value = eval_gross(expr, GrossVector([GrossNumber([(0, 1), (-1, -1)])]))
+        assert value == GrossNumber([(-1, 1)])
 
     def test_constant(self):
-        assert eval_gross(parse_expr("5/2", 1), GrossVector([0])) == make([(0, F(5, 2))])
+        assert eval_gross(parse_expr("5/2", 1), GrossVector([0])) == GrossNumber([(0, F(5, 2))])
 
     def test_first_order_taylor_identity(self):
         # For x = x0 + G^-1 x1 the order-0 coefficient is the value at x0 and
@@ -169,7 +169,7 @@ class TestEvalGross:
             base = [random_fraction(rng, 5) for _ in range(dimension)]
             direction = [random_fraction(rng, 5) for _ in range(dimension)]
             point = GrossVector([
-                make([(0, b), (-1, d)]) for b, d in zip(base, direction)
+                GrossNumber([(0, b), (-1, d)]) for b, d in zip(base, direction)
             ])
             value = eval_gross(expr, point)
             assert value.finite_part() == eval_rational(expr, base)
