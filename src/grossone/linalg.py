@@ -6,12 +6,15 @@ leading grosspower, then the largest leading-digit magnitude, so the
 algorithm never divides by an infinitesimal while a larger-order pivot is
 available.
 
-The rational helpers are exact: solve_rational_columns and
-solve_rational_vector run fraction-free elimination on integer-scaled rows,
-rational_rank runs Gaussian elimination on Fraction matrices.  They build
-the starting tableau of each simplex solve and back the lexicographic
-oracle, the vertex enumeration, the instance generator and the
-constraint-qualification rank checks.
+The rational helpers are exact and share one fraction-free (Bareiss)
+Gauss-Jordan elimination on integer-scaled rows.  solve_rational_columns
+returns integer columns over one positive denominator, |det| of the scaled
+matrix, which the starting tableau of each simplex solve adopts as it
+stands; solve_rational_vector divides them into Fractions; rational_rank
+counts the pivots, skipping columns that have none.  They also back the
+lexicographic oracle, the vertex enumeration, the instance generator and
+the constraint-qualification rank checks.  Entries are ints, Fractions or
+strings such as "1/3"; floats and bools are refused.
 """
 
 from __future__ import annotations
@@ -183,13 +186,13 @@ def solve_linear(
 def solve_rational_columns(
     matrix: Sequence[Sequence[Fraction]],
     rhs_columns: Sequence[Sequence[Fraction]],
-) -> List[List[Fraction]]:
-    """Solve A X = B exactly for Fraction matrices; B given column by column.
+) -> Tuple[List[List[int]], int]:
+    """Solve A X = B exactly for rational A and B; B given column by column.
 
-    Each row of ``[A | B]`` is scaled to integers by the lcm of its
-    denominators, which leaves X unchanged, and reduced by fraction-free
-    (Bareiss) Gauss-Jordan elimination: every division is exact and every
-    entry stays an integer, so the only Fractions built are those of X.
+    Returns ``(N, d)``: integer columns with ``X = N / d``, where
+    ``d = |det(S A)| > 0`` and S scales each row of ``[A | B]`` to integers
+    by the lcm of its denominators (S leaves X unchanged).  No Fraction is
+    built.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -198,60 +201,77 @@ def solve_rational_columns(
     if any(len(col) != n for col in rhs_columns):
         raise ValueError("rhs columns must match the matrix size")
     rows = [
-        _integer_row([matrix[i][j] for j in range(n)] + [rhs_columns[c][i] for c in range(k)])
+        _integer_row([matrix[i][j] for j in range(n)] + [rhs_columns[c][i] for c in range(k)])[0]
         for i in range(n)
     ]
-    previous = 1
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError(f"no nonzero pivot in column {col}")
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        pivot_entries = rows[col]
-        pivot = pivot_entries[col]
-        for i in range(n):
-            if i != col:
-                factor = rows[i][col]
-                rows[i] = [(a * pivot - factor * b) // previous for a, b in zip(rows[i], pivot_entries)]
-        previous = pivot
-    # Every row now reads ``previous`` on the diagonal and ``previous * X`` on the right.
-    return [[Fraction(rows[i][n + c], previous) for i in range(n)] for c in range(k)]
-
-
-def _integer_row(values: Sequence) -> List[int]:
-    """``values`` as rationals, times the lcm of their denominators."""
-    rationals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    scale = math.lcm(*(v.denominator for v in rationals))
-    return [v.numerator * (scale // v.denominator) for v in rationals]
+    rank, d = _bareiss_gauss_jordan(rows, n)
+    if rank < n:
+        raise SingularMatrixError(f"matrix is singular (rank {rank} < {n})")
+    return [[rows[i][n + c] for i in range(n)] for c in range(k)], d
 
 
 def solve_rational_vector(
     matrix: Sequence[Sequence[Fraction]],
     rhs: Sequence[Fraction],
 ) -> List[Fraction]:
-    return solve_rational_columns(matrix, [list(rhs)])[0]
+    (column,), d = solve_rational_columns(matrix, [list(rhs)])
+    return [Fraction(v, d) for v in column]
 
 
 def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a Fraction matrix by exact row reduction."""
-    work = [[Fraction(v) for v in row] for row in rows]
-    if not work:
+    """Rank of a rational matrix by exact row reduction."""
+    if not rows:
         return 0
-    n_cols = len(work[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+    work = [_integer_row(row)[0] for row in rows]
+    return _bareiss_gauss_jordan(work, len(work[0]))[0]
+
+
+def _bareiss_gauss_jordan(rows: List[List[int]], columns: int) -> Tuple[int, int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer ``rows``,
+    in place, over their first ``columns`` columns; returns ``(rank, d)``.
+
+    Each column with a nonzero entry below the pivot rows found so far gives
+    the next pivot row, negated if that entry is negative; a column without
+    one is skipped.  Every other row becomes ``(a p - f b) / d``, p the new
+    pivot and d the previous one, and every division is exact.  With rank r
+    the first r rows then read the last pivot d on their own pivot column
+    and zero on the other pivot columns.  d > 0 is |det| of the r x r block
+    of pivot rows and columns.  So when the rows are ``[A | B]`` with A
+    square and nonsingular, they end as ``[d I | d A^-1 B]``.
+    """
+    rank, previous = 0, 1
+    for col in range(columns):
+        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot_row is None:
             continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot = work[rank][col]
-        for i in range(rank + 1, len(work)):
-            if work[i][col] == 0:
-                continue
-            factor = work[i][col] / pivot
-            work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        if rows[rank][col] < 0:
+            rows[rank] = [-v for v in rows[rank]]
+        pivot_entries = rows[rank]
+        pivot = pivot_entries[col]
+        for i in range(len(rows)):
+            if i != rank:
+                factor = rows[i][col]
+                rows[i] = [(a * pivot - factor * b) // previous for a, b in zip(rows[i], pivot_entries)]
+        previous = pivot
         rank += 1
-        if rank == len(work):
+        if rank == len(rows):
             break
-    return rank
+    return rank, previous
+
+
+def _integer_row(values: Sequence) -> Tuple[List[int], int]:
+    """``values`` times the lcm of their denominators, as ints, and that lcm."""
+    rationals = [_as_fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in rationals))
+    return [v.numerator * (scale // v.denominator) for v in rationals], scale
+
+
+def _as_fraction(value) -> Fraction:
+    """An int, a Fraction or a string such as "1/3" as a Fraction.  Floats
+    and bools are refused, as gross-number digits are."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
+        raise TypeError(f"rational entry must be an int, a Fraction or a string, got {type(value).__name__}")
+    return Fraction(value)

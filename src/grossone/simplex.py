@@ -19,20 +19,20 @@ or a fixed user-supplied preference order.  Leaving rules:
 All iteration linear algebra is exact and, on the solve path, integer.  A
 Tableau holds integer rows over one positive denominator d (the rows of
 ``[A | b]`` scaled to integers, d = |det| of the scaled basis matrix).
-Phase one's starting tableau comes from one rational solve; every later
-pivot, in phase one and phase two, is a fraction-free Edmonds-Bareiss update
-with exact integer division.  The grossone rule, the reduced costs and the
-perturbed objective all read signs and ratios off those integers; only the
-lexicographic oracle solves with the basis matrix afresh at each pivot.
-Every pivot is logged in a PivotTrace, including the perturbed objective as
-a gross-number, which strictly decreases under the grossone rule.
+Phase one's starting tableau is the integer output of one fraction-free
+rational solve, adopted as it stands; every later pivot, in phase one and
+phase two, is a fraction-free Edmonds-Bareiss update with exact integer
+division.  The grossone rule, the reduced costs and the perturbed objective
+all read signs and ratios off those integers; only the lexicographic oracle
+solves with the basis matrix afresh at each pivot.  Every pivot is logged in
+a PivotTrace, including the perturbed objective as a gross-number, which
+strictly decreases under the grossone rule.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -43,6 +43,9 @@ from .arith import GrossNumber, compare
 from .linalg import (
     GrossVector,
     SingularMatrixError,
+    _as_fraction,
+    _integer_row,
+    rational_rank,
     solve_rational_columns,
     solve_rational_vector,
 )
@@ -94,10 +97,6 @@ class LpFormatError(ValueError):
 
 
 _ZERO = Fraction(0)
-
-
-def _as_fraction(value) -> Fraction:
-    return value if type(value) is Fraction else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -215,18 +214,6 @@ class SolveOutcome:
 # -- the tableau ------------------------------------------------------------------
 
 
-def _lcm_of_denominators(values) -> int:
-    scale = 1
-    for v in values:
-        scale = math.lcm(scale, v.denominator)
-    return scale
-
-
-def _times(values: Sequence[Fraction], scale: int) -> List[int]:
-    """``values`` times ``scale``, a multiple of every denominator, as ints."""
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
 class Tableau:
     """Exact simplex tableau of an ordered basis, kept current by pivots.
 
@@ -240,11 +227,11 @@ class Tableau:
     d, with c scaled to the integers ``costs`` by ``cost_scale``, the lcm of
     its denominators: true value = ``objective[j] / (d * cost_scale)``.
 
-    A fresh basis costs one rational solve, put over d by a fraction-free
-    determinant of the scaled basis matrix.  ``pivot`` is the Edmonds-Bareiss
-    integer update of all m + 1 rows, whose divisions are exact, so no
-    later basis is factorized afresh and no pivot normalizes an entry by a
-    gcd.  Because row k belongs to basis position k, ``A_B^-1 A_B0`` is
+    A fresh basis costs one rational solve, whose integer columns and
+    denominator d the tableau adopts as they stand.  ``pivot`` is the
+    Edmonds-Bareiss integer update of all m + 1 rows, whose divisions are
+    exact, so no later basis is factorized afresh and no pivot normalizes an
+    entry by a gcd.  Because row k belongs to basis position k, ``A_B^-1 A_B0`` is
     simply the tableau's columns at the initial basis B0.
     """
 
@@ -261,19 +248,17 @@ class Tableau:
         ``rows / denominator`` already equal to it."""
         self.lp = lp
         if rows is None:
-            # One rational solve gives the tableau; d = |det(S A_B)| puts it
-            # over integers.
+            # The solve scales each row of [A_B | A | b], that is of [A | b],
+            # to integers and returns d = |det(S A_B)| with d A_B^-1 [A | b].
             a_b = [[lp.a[i][j] for j in basis] for i in range(lp.m)]
-            columns = solve_rational_columns(a_b, [lp.column(j) for j in range(lp.n)] + [lp.b])
-            scales = (_lcm_of_denominators(row + (bi,)) for row, bi in zip(lp.a, lp.b))
-            d = self.denominator = _abs_det([_times(row, s) for row, s in zip(a_b, scales)])
-            self.rows = [_times([column[i] for column in columns], d) for i in range(lp.m)]
-        else:
-            self.rows = rows
-            self.denominator = denominator
+            columns, denominator = solve_rational_columns(
+                a_b, [lp.column(j) for j in range(lp.n)] + [lp.b]
+            )
+            rows = [list(row) for row in zip(*columns)]
+        self.rows = rows
+        self.denominator = denominator
         self.basis = basis
-        self.cost_scale = _lcm_of_denominators(lp.c)
-        self.costs = _times(lp.c + (_ZERO,), self.cost_scale)
+        self.costs, self.cost_scale = _integer_row(lp.c + (_ZERO,))
         d = self.denominator
         objective = [d * cost for cost in self.costs]
         for position, j in enumerate(basis):
@@ -307,20 +292,6 @@ class Tableau:
             x[j] = Fraction(self.rows[position][-1], self.denominator)
         value = sum(cj * xj for cj, xj in zip(self.lp.c, x))
         return tuple(x), value
-
-
-def _abs_det(matrix: List[List[int]]) -> int:
-    """``|det|`` of a nonsingular integer matrix by Bareiss elimination."""
-    rows = [list(row) for row in matrix]
-    d = 1
-    for k in range(len(rows)):
-        pivot_row = next(i for i in range(k, len(rows)) if rows[i][k])
-        rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-        if rows[k][k] < 0:
-            rows[k] = [-v for v in rows[k]]
-        rows[k + 1:] = [_bareiss(row, rows[k], k, d) for row in rows[k + 1:]]
-        d = rows[k][k]
-    return d
 
 
 def _bareiss(target: List[int], pivot_row: List[int], entering: int, d: int) -> List[int]:
@@ -471,20 +442,23 @@ def ratio_test_lexicographic(
     Minimum ratio first; surviving ties are broken column by column of
     A_B^-1 A_B0 until a single row remains.  It is the independent oracle for
     the grossone rule, so it reads no tableau: every quantity comes from
-    fresh solves with the basis matrix.
+    fresh solves with the basis matrix.  The solves return integers over a
+    positive denominator; within one solve it cancels from each ratio, and
+    between the two solves it scales all ratios of a column alike, which
+    leaves their order, the only thing compared, unchanged.
     """
     a_b = [[lp.a[i][j] for j in basis] for i in range(lp.m)]
-    direction, xb = solve_rational_columns(a_b, [lp.column(entering), lp.b])
+    (direction, xb), _ = solve_rational_columns(a_b, [lp.column(entering), lp.b])
     candidate_rows = [i for i in range(lp.m) if direction[i] > 0]
     if not candidate_rows:
         return None
-    survivors = _argmin_rows(candidate_rows, {i: xb[i] / direction[i] for i in candidate_rows})
+    survivors = _argmin_rows(candidate_rows, {i: Fraction(xb[i], direction[i]) for i in candidate_rows})
     if len(survivors) == 1:
         return survivors[0]
-    carried = solve_rational_columns(a_b, [lp.column(j) for j in base_basis])
+    carried, _ = solve_rational_columns(a_b, [lp.column(j) for j in base_basis])
     for k in range(len(base_basis)):
         survivors = _argmin_rows(
-            survivors, {i: carried[k][i] / direction[i] for i in survivors}
+            survivors, {i: Fraction(carried[k][i], direction[i]) for i in survivors}
         )
         if len(survivors) == 1:
             return survivors[0]
@@ -751,9 +725,7 @@ def random_degenerate_lp(rng: random.Random, m: int, n: int) -> LpStandardForm:
         )
         columns = rng.sample(range(n), m)
         matrix = [[rows[i][j] for j in columns] for i in range(m)]
-        try:
-            solve_rational_vector(matrix, [Fraction(0)] * m)
-        except SingularMatrixError:
+        if rational_rank(matrix) < m:
             continue
         values = [Fraction(rng.choice((0, 0, 1, 2, 3))) for _ in range(m)]
         if all(v == 0 for v in values) and m > 1:

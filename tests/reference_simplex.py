@@ -2,9 +2,9 @@
 
 Test-only reference for the tableau that ``grossone.simplex`` updates by
 pivots.  Everything here is computed directly from ``(lp, basis)`` with
-``solve_rational_vector``/``solve_rational_columns`` on ``A_B`` (or its
-transpose, for the prices), never from a tableau, so a faulty pivot update
-cannot agree with it by construction.
+``solve_rational_vector`` on ``A_B`` (or its transpose, for the prices),
+never from a tableau, so a faulty pivot update cannot agree with it by
+construction.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from math import gcd
 from typing import Dict, List, Optional
 
 from grossone.arith import ZERO, GrossNumber, as_gross, compare
-from grossone.linalg import GrossVector, solve_rational_columns, solve_rational_vector
+from grossone.linalg import GrossVector, solve_rational_vector
 from grossone.simplex import Basis, LpStandardForm
 
 
@@ -92,7 +92,7 @@ def perturbed_rhs(lp: LpStandardForm, basis: Basis, base_basis: Basis) -> GrossV
     """A_B^-1 b + (A_B^-1 A_B0) e with e = (G^-1, ..., G^-m)."""
     a_b = basis_matrix(lp, basis)
     xb = solve_rational_vector(a_b, lp.b)
-    carried = solve_rational_columns(a_b, [lp.column(j) for j in base_basis])
+    carried = [solve_rational_vector(a_b, lp.column(j)) for j in base_basis]
     entries = []
     for i in range(lp.m):
         terms = [(0, xb[i])]

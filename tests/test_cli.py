@@ -92,6 +92,11 @@ class TestLpSolve:
         assert code == exit_code
         assert out.encode() == (DATA_DIR / f"{name}.out").read_bytes()
 
+    def test_random_trace_matches_golden_file(self):
+        code, out = run(["lp", "solve", "random:8x16", "--seed", "1", "--trace"])
+        assert code == 0
+        assert out.encode() == (DATA_DIR / "random_8x16_seed1_trace.out").read_bytes()
+
     def test_malformed_file_exit(self, tmp_path):
         path = tmp_path / "bad.lp"
         path.write_text("1 2\nc: 1\nA: 1 1\nb: 1\n")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from grossone.linalg import (
 )
 
 from helpers import matvec, random_fraction
+from reference_simplex import determinant
 
 F = Fraction
 G = GROSSONE
@@ -96,9 +98,9 @@ class TestRationalSolvers:
     def test_multi_rhs_matches_single(self):
         rows = [[F(2), F(1)], [F(1), F(3)]]
         cols = [[F(1), F(0)], [F(0), F(1)], [F(5), F(-7)]]
-        stacked = solve_rational_columns(rows, cols)
+        stacked, d = solve_rational_columns(rows, cols)
         for col, solution in zip(cols, stacked):
-            assert solve_rational_vector(rows, col) == solution
+            assert solve_rational_vector(rows, col) == [F(v, d) for v in solution]
 
     def test_columns_round_trip_with_swaps_and_signs(self):
         # Zero entries force row swaps and rows with a zero in the pivot
@@ -113,23 +115,115 @@ class TestRationalSolvers:
             ]
             cols = [[random_fraction(rng, 9) for _ in range(n)] for _ in range(rng.randint(1, 3))]
             try:
-                solutions = solve_rational_columns(rows, cols)
+                solutions, d = solve_rational_columns(rows, cols)
             except SingularMatrixError:
                 assert rational_rank(rows) < n
                 continue
             solved += 1
             for col, x in zip(cols, solutions):
-                assert [sum(rows[i][j] * x[j] for j in range(n)) for i in range(n)] == col
+                assert [sum(rows[i][j] * F(x[j], d) for j in range(n)) for i in range(n)] == col
         assert solved > 20
 
     def test_accepts_ints_and_strings(self):
         assert solve_rational_vector([[0, 2], ["1/3", 0]], [1, -1]) == [F(-3), F(1, 2)]
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, None])
+    def test_refuses_floats_and_bools(self, bad):
+        with pytest.raises(TypeError):
+            solve_rational_vector([[1, 0], [0, bad]], [1, 1])
+        with pytest.raises(TypeError):
+            solve_rational_columns([[1]], [[bad]])
+        with pytest.raises(TypeError):
+            rational_rank([[1, bad]])
 
     def test_rank(self):
         assert rational_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
         assert rational_rank([[F(1), F(0)], [F(0), F(1)]]) == 2
         assert rational_rank([[F(0), F(0)]]) == 0
         assert rational_rank([[F(1), F(2), F(3)]]) == 1
+        assert rational_rank([[F(0), F(1), F(2)], [F(0), F(2), F(4)]]) == 1
+        assert rational_rank([[F(0), F(0), F(1)], [F(0), F(0), F(3)], [F(0), F(0), F(0)]]) == 1
+
+
+def scaled_matrix(matrix, columns):
+    """S A, S scaling each row of [A | B] by the lcm of its denominators."""
+    out = []
+    for i, row in enumerate(matrix):
+        scale = math.lcm(*(v.denominator for v in list(row) + [col[i] for col in columns]))
+        out.append([v * scale for v in row])
+    return out
+
+
+def fraction_rank(rows):
+    """Rank by Gaussian elimination in plain Fraction arithmetic."""
+    work = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for i in range(rank + 1, len(work)):
+            factor = work[i][col] / work[rank][col]
+            work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+class TestRationalKernel:
+    """solve_rational_columns returns (N, d): ints with X = N/d and
+    d = |det(S A)| > 0; rational_rank counts the same elimination's pivots."""
+
+    def test_integer_columns_over_abs_det(self):
+        rng = random.Random(17)
+        solved = 0
+        for _ in range(80):
+            n = rng.randint(1, 6)
+            # Zeros force row swaps, signs give negative pivots, and rows mix
+            # denominators.
+            rows = [
+                [rng.choice((F(0), random_fraction(rng, 9))) for _ in range(n)]
+                for _ in range(n)
+            ]
+            cols = [[random_fraction(rng, 9) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+            try:
+                columns, d = solve_rational_columns(rows, cols)
+            except SingularMatrixError:
+                assert determinant(rows) == 0
+                continue
+            solved += 1
+            assert type(d) is int and d > 0
+            assert all(type(v) is int for column in columns for v in column)
+            for b, x in zip(cols, columns):
+                assert [sum(rows[i][j] * x[j] for j in range(n)) for i in range(n)] == [d * v for v in b]
+            assert d == abs(determinant(scaled_matrix(rows, cols)))
+        assert solved > 30
+
+    def test_swap_and_negative_pivot(self):
+        # The first column needs a row swap, and its pivot (-1/3, scaled to -1)
+        # is negative.
+        rows = [[F(0), F(2)], [F(-1, 3), F(1)]]
+        columns, d = solve_rational_columns(rows, [[F(4), F(0)]])
+        assert (columns, d) == ([[12, 4]], 2)
+
+    def test_rank_matches_fraction_elimination(self):
+        rng = random.Random(23)
+        deficient = 0
+        for _ in range(80):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            basis = [[random_fraction(rng, 9) for _ in range(n)] for _ in range(rng.randint(1, m))]
+            for row in basis:
+                for j in rng.sample(range(n), rng.randint(0, n - 1)):
+                    row[j] = F(0)
+            rows = [
+                [sum(rng.randint(-2, 2) * row[j] for row in basis) for j in range(n)]
+                for _ in range(m)
+            ]
+            rank = fraction_rank(rows)
+            deficient += rank < min(m, n)
+            assert rational_rank(rows) == rank
+        assert deficient > 20
+
 
 
 class TestContainers:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -74,6 +75,20 @@ class TestStandardForm:
     def test_column(self):
         lp = lp_from([[1, 2], [3, 4]], [1, 1], [0, 0])
         assert lp.column(1) == (F(2), F(4))
+
+    def test_accepts_ints_fractions_and_strings(self):
+        lp = lp_from([[1, F(1, 2)]], ["-3/4"], [0, "2"])
+        assert lp == lp_from([[F(1), F(1, 2)]], [F(-3, 4)], [F(0), F(2)])
+        assert all(type(v) is Fraction for v in lp.a[0] + lp.b + lp.c)
+
+    @pytest.mark.parametrize("bad", [0.1, 0.5, 1.0, True, False, None])
+    def test_refuses_floats_and_bools(self, bad):
+        with pytest.raises(TypeError):
+            lp_from([[1, bad]], [1], [0, 1])
+        with pytest.raises(TypeError):
+            lp_from([[1, 1]], [bad], [0, 1])
+        with pytest.raises(TypeError):
+            lp_from([[1, 1]], [1], [bad, 1])
 
 
 class TestBasis:
@@ -410,6 +425,19 @@ class TestRandomGenerator:
     def test_first_row_bounds_the_region(self):
         lp = random_degenerate_lp(random.Random(3), 3, 6)
         assert lp.a[0] == tuple([F(1)] * lp.n)
+
+    def test_instance_pool_is_pinned(self):
+        # The seeded instances that the benchmark and the golden reports
+        # draw on stay the same instances.
+        digest = hashlib.sha256()
+        for m, n in ((4, 8), (6, 12), (8, 16)):
+            for seed in range(20):
+                lp = random_degenerate_lp(random.Random(seed), m, n)
+                for values in lp.a + (lp.b, lp.c):
+                    digest.update((" ".join(map(str, values)) + "\n").encode())
+        assert digest.hexdigest() == (
+            "02ccb17c171e259dedd96295ac95fcc0a31f335fe6e1c18cc011f36c2f144f0b"
+        )
 
     def test_feasible_by_construction(self):
         for seed in range(10):
