@@ -1,20 +1,23 @@
-"""Dense vectors and matrices over gross-numbers, plus exact rational solvers.
+"""Dense vectors and matrices over gross-numbers, plus exact linear solvers.
 
-The gross-number side supplies Gaussian elimination whose divisions
-truncate per ArithConfig.  Row pivoting picks the entry with the greatest
-leading grosspower, then the largest leading-digit magnitude, so the
-algorithm never divides by an infinitesimal while a larger-order pivot is
-available.
+One fraction-free (Bareiss) Gauss-Jordan elimination serves every solve.
+It runs on rows scaled by the lcm of their denominators, so that every entry
+lies in an integral domain and every division in it is exact: the integers
+for rational matrices, Laurent polynomials in G with integer coefficients
+for gross-number ones.
 
-The rational helpers are exact and share one fraction-free (Bareiss)
-Gauss-Jordan elimination on integer-scaled rows.  solve_rational_columns
-returns integer columns over one positive denominator, |det| of the scaled
-matrix, which the starting tableau of each simplex solve adopts as it
-stands; solve_rational_vector divides them into Fractions; rational_rank
-counts the pivots, skipping columns that have none.  They also back the
-lexicographic oracle, the vertex enumeration, the instance generator and
-the constraint-qualification rank checks.  Entries are ints, Fractions or
-strings such as "1/3"; floats and bools are refused.
+solve_linear eliminates a gross-number system exactly, then makes one
+division per unknown.  A solution that is a Laurent polynomial in G comes
+out exact; any other is one truncated series division (per ArithConfig)
+of two exact gross-numbers, whose digits above the cutoff are exact.
+
+solve_rational_columns returns integer columns over one positive
+denominator, |det| of the scaled matrix, which the starting tableau of each
+simplex solve adopts as it stands; solve_rational_vector divides them into
+Fractions; rational_rank counts the pivots, skipping columns that have
+none.  They also back the lexicographic oracle, the vertex enumeration, the
+instance generator and the constraint-qualification rank checks.  Entries
+are ints, Fractions or strings such as "1/3"; floats and bools are refused.
 """
 
 from __future__ import annotations
@@ -123,61 +126,169 @@ class GrossMatrix:
         return f"GrossMatrix({[[str(e) for e in row] for row in self._rows]})"
 
 
-def _pivot_key(entry: GrossNumber):
-    # Greater leading grosspower wins; ties go to the larger |leading digit|.
-    return entry.leading_power, abs(entry.leading_digit)
-
-
 def solve_linear(
     matrix: GrossMatrix,
     rhs: GrossVector,
     config: ArithConfig = DEFAULT_CONFIG,
 ) -> GrossVector:
-    """Solve M x = rhs by Gaussian elimination over gross-numbers.
+    """Solve M x = rhs over gross-numbers: exact elimination, then one
+    division per unknown.
 
-    Divisions truncate per ``config``; the residual M x - rhs then has each
-    entry's leading grosspower at most (leading of the rhs entry) - K, and is
-    exactly zero when every divisor used is a single term (in particular for
-    all-rational matrices).
+    Each row of ``[M | rhs]`` is scaled by the lcm of its digit denominators,
+    so its entries are Laurent polynomials in G with integer coefficients,
+    and ``_bareiss_gauss_jordan`` turns the rows into ``[d I | N]`` exactly.
+    Then ``x_i = N_i / d``: the exact quotient when d divides N_i over the
+    rationals, so x is exact whenever the solution is a Laurent polynomial
+    in G (in particular for all-rational matrices); otherwise
+    ``N_i.divide(d, config)``, the only truncated operation.  The digits do
+    not depend on the order of the rows, and every coefficient above the
+    cutoff grosspower ``leading(x_i) - K`` is exact.
     """
     m, n = matrix.shape
     if m != n:
         raise ValueError(f"matrix must be square, got {m}x{n}")
     if len(rhs) != n:
         raise ValueError(f"shape mismatch: matrix is {n}x{n}, rhs has length {len(rhs)}")
-    rows: List[List[GrossNumber]] = [
-        list(matrix.row(i)) + [rhs[i]] for i in range(n)
-    ]
-    for col in range(n):
-        pivot_row = None
-        pivot_key = None
-        for i in range(col, n):
-            if rows[i][col].is_zero():
-                continue
-            key = _pivot_key(rows[i][col])
-            if pivot_key is None or key > pivot_key:
-                pivot_row, pivot_key = i, key
-        if pivot_row is None:
-            raise SingularMatrixError(f"no nonzero pivot in column {col}")
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        pivot = rows[col][col]
-        for i in range(col + 1, n):
-            entry = rows[i][col]
-            if entry.is_zero():
-                continue
-            factor = entry.divide(pivot, config)
-            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
-            # Eliminated by construction; clearing the truncation residue keeps
-            # later pivot searches from picking up noise.
-            rows[i][col] = ZERO
-    solution: List[GrossNumber] = [ZERO] * n
-    for i in range(n - 1, -1, -1):
-        total = rows[i][n]
-        for j in range(i + 1, n):
-            total = total - rows[i][j] * solution[j]
-        solution[i] = total.divide(rows[i][i], config)
+    rows = [_poly_row(matrix.row(i) + (rhs[i],)) for i in range(n)]
+    rank, d = _bareiss_gauss_jordan(rows, n)
+    if rank < n:
+        # Pivot rows keep their order, so the first pivotless column is the
+        # first c whose own row holds no pivot there.
+        column = next(c for c in range(n) if c >= rank or not rows[c][c])
+        raise SingularMatrixError(f"no nonzero pivot in column {column}")
+    solution = []
+    for row in rows:
+        quotient = row[n].exact_quotient(d)
+        if quotient is None:
+            quotient = row[n].gross().divide(d.gross(), config)
+        solution.append(quotient)
     return GrossVector(solution)
+
+
+class _IntPoly:
+    """Laurent polynomial ``sum_k coeffs[k] * G^(low + k)`` with int
+    coefficients, stored dense from its lowest grosspower; the first and last
+    coefficients are nonzero and zero has none.  It has what
+    ``_bareiss_gauss_jordan`` uses: ``*``, ``-``, unary ``-``, exact ``//``,
+    truth and the sign test ``< 0``, which reads the highest-grosspower
+    coefficient as a gross-number's sign does."""
+
+    __slots__ = ("low", "coeffs")
+
+    def __init__(self, low: int, coeffs: List[int]):
+        self.low = low
+        self.coeffs = coeffs
+
+    @classmethod
+    def _trimmed(cls, low: int, coeffs: List[int]) -> "_IntPoly":
+        end = len(coeffs)
+        while end and not coeffs[end - 1]:
+            end -= 1
+        start = 0
+        while start < end and not coeffs[start]:
+            start += 1
+        return cls(low + start, coeffs[start:end])
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __lt__(self, zero) -> bool:
+        return bool(self.coeffs) and self.coeffs[-1] < 0
+
+    def __neg__(self) -> "_IntPoly":
+        return _IntPoly(self.low, [-c for c in self.coeffs])
+
+    def __mul__(self, other: "_IntPoly") -> "_IntPoly":
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _IntPoly(0, [])
+        out = [0] * (len(a) + len(b) - 1)
+        width = len(b)
+        for i, x in enumerate(a):
+            if x:
+                out[i:i + width] = [o + x * y for o, y in zip(out[i:i + width], b)]
+        # The end coefficients are products of nonzero ints, so nonzero.
+        return _IntPoly(self.low + other.low, out)
+
+    def __sub__(self, other: "_IntPoly") -> "_IntPoly":
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return -other
+        low = min(self.low, other.low)
+        out = [0] * (max(self.low + len(self.coeffs), other.low + len(other.coeffs)) - low)
+        start = self.low - low
+        out[start:start + len(self.coeffs)] = self.coeffs
+        start = other.low - low
+        end = start + len(other.coeffs)
+        out[start:end] = [o - c for o, c in zip(out[start:end], other.coeffs)]
+        return _IntPoly._trimmed(low, out)
+
+    def __floordiv__(self, other) -> "_IntPoly":
+        """Exact quotient; the elimination guarantees that one exists."""
+        if isinstance(other, int):
+            return _IntPoly(self.low, [c // other for c in self.coeffs])
+        if not self.coeffs:
+            return self
+        return _IntPoly(self.low - other.low, _divide_exactly(self.coeffs, other.coeffs))
+
+    def exact_quotient(self, other: "_IntPoly"):
+        """``self / other`` as a GrossNumber when it is a Laurent polynomial
+        with rational digits, else None.  By Gauss's lemma it is one exactly
+        when other over the gcd of its coefficients divides self over the
+        integers."""
+        if not self.coeffs:
+            return ZERO
+        content = math.gcd(*other.coeffs)
+        quotient = _divide_exactly(self.coeffs, [c // content for c in other.coeffs])
+        if quotient is None:
+            return None
+        return GrossNumber(
+            (self.low - other.low + k, Fraction(c, content)) for k, c in enumerate(quotient)
+        )
+
+    def gross(self) -> GrossNumber:
+        return GrossNumber((self.low + k, c) for k, c in enumerate(self.coeffs))
+
+
+def _divide_exactly(dividend: List[int], divisor: List[int]):
+    """Integer coefficients q with ``q * divisor == dividend`` (dense, both
+    from their lowest power, divisor trimmed), or None when there are none.
+    Long division from the highest power stops at the first digit that does
+    not divide."""
+    width = len(divisor)
+    size = len(dividend) - width + 1
+    if size < 1:
+        return None
+    work = list(dividend)
+    top = divisor[-1]
+    quotient = [0] * size
+    for k in range(size - 1, -1, -1):
+        digit, remainder = divmod(work[k + width - 1], top)
+        if remainder:
+            return None
+        if digit:
+            quotient[k] = digit
+            work[k:k + width] = [w - digit * c for w, c in zip(work[k:k + width], divisor)]
+    if any(work[:width - 1]):
+        return None
+    return quotient
+
+
+def _poly_row(entries: Sequence[GrossNumber]) -> List[_IntPoly]:
+    """A row of gross-numbers times the lcm of its digit denominators."""
+    scale = math.lcm(*(d.denominator for entry in entries for _, d in entry.terms))
+    row = []
+    for entry in entries:
+        if entry.is_zero():
+            row.append(_IntPoly(0, []))
+            continue
+        low = entry.terms[-1][0]
+        coeffs = [0] * (entry.leading_power - low + 1)
+        for power, digit in entry.terms:
+            coeffs[power - low] = digit.numerator * (scale // digit.denominator)
+        row.append(_IntPoly(low, coeffs))
+    return row
 
 
 # -- exact rational elimination -------------------------------------------------
@@ -226,18 +337,20 @@ def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return _bareiss_gauss_jordan(work, len(work[0]))[0]
 
 
-def _bareiss_gauss_jordan(rows: List[List[int]], columns: int) -> Tuple[int, int]:
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer ``rows``,
-    in place, over their first ``columns`` columns; returns ``(rank, d)``.
+def _bareiss_gauss_jordan(rows: List[list], columns: int) -> Tuple[int, object]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of ``rows`` of ints
+    or of ``_IntPoly``s, in place, over their first ``columns`` columns;
+    returns ``(rank, d)``.
 
     Each column with a nonzero entry below the pivot rows found so far gives
     the next pivot row, negated if that entry is negative; a column without
     one is skipped.  Every other row becomes ``(a p - f b) / d``, p the new
     pivot and d the previous one, and every division is exact.  With rank r
     the first r rows then read the last pivot d on their own pivot column
-    and zero on the other pivot columns.  d > 0 is |det| of the r x r block
-    of pivot rows and columns.  So when the rows are ``[A | B]`` with A
-    square and nonsingular, they end as ``[d I | d A^-1 B]``.
+    and zero on the other pivot columns.  d > 0 (in the gross order, for
+    polynomials) is |det| of the r x r block of pivot rows and columns.  So
+    when the rows are ``[A | B]`` with A square and nonsingular, they end as
+    ``[d I | d A^-1 B]``, whatever the order of the rows.
     """
     rank, previous = 0, 1
     for col in range(columns):

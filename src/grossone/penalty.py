@@ -108,8 +108,10 @@ class NlpProblem:
 @dataclass(frozen=True)
 class PenaltyConfig:
     """Newton controls.  The residual threshold applies to the coefficients
-    at grosspowers >= -1 only; deeper series coefficients carry truncation
-    noise and are never inspected."""
+    at grosspowers >= -1 only.  Each Newton step is exact in every
+    coefficient of a component above its cutoff, ``leading - K`` with K the
+    truncation order of ``arith``: only the cutoff level carries truncation
+    noise, and nothing below it is formed."""
 
     arith: ArithConfig = DEFAULT_CONFIG
     newton_max_iter: int = 50

@@ -218,6 +218,14 @@ class TestNlpPenalty:
         assert code == 0
         assert out == (DATA_DIR / f"{name}.out").read_text()
 
+    @pytest.mark.parametrize("trunc", ["1", "2", "3"])
+    def test_low_truncation_reports_exact_digits(self, trunc):
+        # The report prints x1 = G/(1 + 4G) down to G^-2; a low truncation
+        # order K must not change those digits.
+        code, out = run(["nlp", "penalty", QUADRATIC, "--trunc", trunc])
+        assert code == 0
+        assert out == (DATA_DIR / "quadratic_equality.out").read_text()
+
     def test_huge_monomial_exponent_is_fast(self, tmp_path):
         path = tmp_path / "huge.nlp"
         path.write_text("n 1\nf: x1^99999999\n")

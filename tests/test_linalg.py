@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from grossone.arith import ArithConfig, GROSSONE, GrossNumber, ONE
+from grossone.arith import ArithConfig, GROSSONE, GrossNumber, ONE, ZERO
 from grossone.linalg import (
     GrossMatrix,
     GrossVector,
@@ -15,7 +15,8 @@ from grossone.linalg import (
     solve_rational_vector,
 )
 
-from helpers import matvec, random_fraction
+from helpers import matvec, random_fraction, random_gross
+from reference_linalg import truncated_solve
 from reference_simplex import determinant
 
 F = Fraction
@@ -76,6 +77,129 @@ class TestSolveLinear:
     def test_requires_square(self):
         with pytest.raises(ValueError):
             solve_linear(GrossMatrix([[1, 2]]), GrossVector([1]))
+
+
+def random_gross_system(rng, n):
+    """n x n gross matrix and rhs: grosspowers -3..2, rational digits, about
+    one zero entry in four, and half the time a zero or an infinitesimal in
+    the top-left corner, so that column 0 needs a row swap or has a pivot
+    of lower order than the entries below it."""
+    def entry():
+        return ZERO if rng.random() < 0.25 else random_gross(rng, 3, -3, 2, 9, nonzero=True)
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.5:
+        infinitesimal = GrossNumber([(-rng.randint(1, 3), random_fraction(rng, 9) or 1)])
+        rows[0][0] = rng.choice((ZERO, infinitesimal))
+    rhs = [random_gross(rng, 3, -3, 2, 9, nonzero=True) for _ in range(n)]
+    return rows, rhs
+
+
+class TestGrossElimination:
+    """solve_linear eliminates exactly and divides once per unknown.  The
+    reference is the truncated pivoted elimination it replaced, run at
+    K = 40; every coefficient above divide's cutoff, leading(x_i) - K,
+    must equal the reference's."""
+
+    K = ArithConfig().truncation_order
+
+    def test_exact_rational_quotient(self):
+        # d = 2 + 2G does not divide N = 1 + G over the integers, but does
+        # over the rationals.
+        solution = solve_linear(GrossMatrix([[2 + 2 * G]]), GrossVector([1 + G]))
+        assert solution == GrossVector([F(1, 2)])
+
+    def test_exact_solution_carries_no_cutoff_noise(self):
+        matrix = GrossMatrix([[1 + G, 1], [1, 1]])
+        assert solve_linear(matrix, GrossVector([2 + G, 2])) == GrossVector([1, 1])
+
+    def test_laurent_polynomial_solutions_are_exact(self):
+        rng = random.Random(61)
+        solved = 0
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            rows, _ = random_gross_system(rng, n)
+            x = GrossVector(random_gross(rng, 3, -3, 2, 9) for _ in range(n))
+            matrix = GrossMatrix(rows)
+            try:
+                solution = solve_linear(matrix, matvec(matrix, x))
+            except SingularMatrixError:
+                continue
+            solved += 1
+            assert solution == x
+        assert solved > 20
+
+    def test_matches_truncated_reference_above_cutoff(self):
+        rng = random.Random(67)
+        solved = series = 0
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            rows, rhs = random_gross_system(rng, n)
+            matrix, vector = GrossMatrix(rows), GrossVector(rhs)
+            try:
+                solution = solve_linear(matrix, vector)
+            except SingularMatrixError:
+                continue
+            reference = truncated_solve(matrix, vector, ArithConfig(truncation_order=40))
+            solved += 1
+            for x, ref in zip(solution, reference):
+                if x.is_zero():
+                    # The reference's own truncation noise sits near G^-40.
+                    assert ref.is_zero() or ref.leading_power < -30
+                    continue
+                lead = x.leading_power
+                series += len(x.terms) > 1
+                assert ref.leading_power == lead
+                assert [x.coefficient(p) for p in range(lead, lead - self.K, -1)] == [
+                    ref.coefficient(p) for p in range(lead, lead - self.K, -1)
+                ]
+        assert solved > 20 and series > 20
+
+    def test_row_order_and_row_scaling_do_not_change_digits(self):
+        rng = random.Random(71)
+        solved = 0
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            rows, rhs = random_gross_system(rng, n)
+            try:
+                solution = solve_linear(GrossMatrix(rows), GrossVector(rhs))
+            except SingularMatrixError:
+                continue
+            solved += 1
+            order = list(range(n))
+            rng.shuffle(order)
+            assert solve_linear(
+                GrossMatrix([rows[i] for i in order]), GrossVector([rhs[i] for i in order])
+            ) == solution
+            # Scaling a row by c G^k, c rational, leaves x unchanged.
+            scales = [GrossNumber([(rng.randint(-2, 2), random_fraction(rng, 9) or 1)]) for _ in range(n)]
+            assert solve_linear(
+                GrossMatrix([[s * v for v in row] for s, row in zip(scales, rows)]),
+                GrossVector([s * v for s, v in zip(scales, rhs)]),
+            ) == solution
+        assert solved > 20
+
+    def test_singular_names_first_pivotless_column(self):
+        rng = random.Random(73)
+        checked = 0
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            column = rng.randrange(n)
+            rows, rhs = random_gross_system(rng, n)
+            # Column `column` becomes a gross combination of the ones before
+            # it (the zero column when it is the first).
+            weights = [random_gross(rng, 2, -2, 2, 9) for _ in range(column)]
+            for row in rows:
+                row[column] = sum((w * row[j] for j, w in enumerate(weights)), ZERO)
+            # Independently: the columns before it are independent at G = 1000.
+            point = [[v.evaluate_at(1000) for v in row[:column]] for row in rows]
+            if fraction_rank(point) < column:
+                continue
+            with pytest.raises(SingularMatrixError) as raised:
+                solve_linear(GrossMatrix(rows), GrossVector(rhs))
+            assert str(raised.value) == f"no nonzero pivot in column {column}"
+            checked += 1
+        assert checked > 30
 
 
 class TestRationalSolvers:

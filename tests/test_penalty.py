@@ -22,6 +22,7 @@ from grossone.penalty import (
 from grossone.polyexpr import eval_gross, parse_expr
 
 from helpers import INSTANCE_DIR
+from reference_linalg import truncated_solve
 from reference_penalty import newton_system
 
 F = Fraction
@@ -428,3 +429,37 @@ class TestNewtonSystemReference:
                     problem, start, as_gross(1 / eps), systems,
                     lambda: sequential_penalty_baseline(problem, [eps], config),
                 )
+
+
+class TestStationaryPointAgainstTruncatedReference:
+    """On convex QPs of the benchmark's ladder shape, min sum w_k/2 x_k^2
+    s.t. sum x_k = 1 and bounds c_k - x_k <= 0, every digit of x* above
+    divide's cutoff, leading(x*_k) - K, equals the run whose Newton steps
+    use the truncated elimination of ``reference_linalg`` at K = 40."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_digits_above_cutoff(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        k = ArithConfig().truncation_order
+
+        def reference_solve(jacobian, rhs, config):
+            return truncated_solve(jacobian, rhs, ArithConfig(truncation_order=40))
+
+        for n in (2, 3, 4):
+            objective = " + ".join(f"{rng.randint(1, 9)}/2*x{j}^2" for j in range(1, n + 1))
+            bounds = "".join(
+                f"g: {rng.randint(1, 4)}/{2 * n + 1} - x{j}\n"
+                for j in rng.sample(range(1, n + 1), (n + 1) // 2)
+            )
+            total = " + ".join(f"x{j}" for j in range(1, n + 1))
+            problem = parse_nlp(f"n {n}\nf: {objective}\nh: {total} - 1\n{bounds}")
+            xstar = stationary_solve(problem)
+            with monkeypatch.context() as patch:
+                patch.setattr(grossone.penalty, "solve_linear", reference_solve)
+                reference = stationary_solve(problem)
+            for x, ref in zip(xstar, reference):
+                lead = x.leading_power
+                assert ref.leading_power == lead
+                assert [x.coefficient(p) for p in range(lead, lead - k, -1)] == [
+                    ref.coefficient(p) for p in range(lead, lead - k, -1)
+                ]
