@@ -24,9 +24,12 @@ rational solve, adopted as it stands; every later pivot, in phase one and
 phase two, is a fraction-free Edmonds-Bareiss update with exact integer
 division.  The grossone rule, the reduced costs and the perturbed objective
 all read signs and ratios off those integers; only the lexicographic oracle
-solves with the basis matrix afresh at each pivot.  Every pivot is logged in
-a PivotTrace, including the perturbed objective as a gross-number, which
-strictly decreases under the grossone rule.
+solves with the basis matrix afresh at each pivot.  The grossone rule builds
+no gross-number: two perturbed ratios are compared by integer cross products
+of their tableau rows, level by level, down to the first level where they
+differ.  Every pivot is logged in a PivotTrace, including the perturbed
+objective as a gross-number, which strictly decreases under the grossone
+rule.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .arith import GrossNumber, compare
+from .arith import GrossNumber
 from .linalg import (
     GrossVector,
     SingularMatrixError,
@@ -286,12 +289,16 @@ class Tableau:
         self.denominator = pivot_row[entering]
 
     def point(self) -> Tuple[Tuple[Fraction, ...], Fraction]:
-        """The basic solution x and its objective value <c, x>."""
-        x = [Fraction(0)] * self.lp.n
+        """The basic solution x and its objective value <c, x>.
+
+        The value is read off the objective row, whose last entry is
+        ``-d * cost_scale * c_B . x_B``, as one exact quotient.
+        """
+        d = self.denominator
+        x = [_ZERO] * self.lp.n
         for position, j in enumerate(self.basis):
-            x[j] = Fraction(self.rows[position][-1], self.denominator)
-        value = sum(cj * xj for cj, xj in zip(self.lp.c, x))
-        return tuple(x), value
+            x[j] = Fraction(self.rows[position][-1], d)
+        return tuple(x), Fraction(-self.objective[-1], d * self.cost_scale)
 
 
 def _bareiss(target: List[int], pivot_row: List[int], entering: int, d: int) -> List[int]:
@@ -324,12 +331,17 @@ def choose_entering(
     rule: str = "dantzig",
     order: Optional[Sequence[int]] = None,
 ) -> Optional[int]:
-    """Pick the entering column, or None when all reduced costs are >= 0."""
-    negatives = {j: c for j, c in costs.items() if c < 0}
+    """Pick the entering column, or None when all reduced costs are >= 0.
+
+    Dantzig's rule takes the most negative cost, the smallest column on a
+    tie.  Costs may be ``Fraction``s or ``int``s; their sign is the sign of
+    the numerator.
+    """
+    negatives = [j for j, c in costs.items() if c.numerator < 0]
     if not negatives:
         return None
     if rule == "dantzig":
-        return min(negatives, key=lambda j: (negatives[j], j))
+        return min(sorted(negatives), key=costs.__getitem__)
     if rule == "bland":
         return min(negatives)
     if rule == "fixed_order":
@@ -402,33 +414,52 @@ def ratio_test_grossone(
     """Ratio test on the infinitesimally perturbed right-hand side.
 
     Each candidate ratio is the gross-number (perturbed rhs)_i / direction_i,
-    whose digits are ``N_ik / N_ie`` (the denominator d cancels).  The
-    perturbation makes all ratios distinct, so the minimum is attained at a
-    unique row; an observed tie means the rows of A_B^-1 A_B0 were not
-    independent and raises RatioTieError.
+    whose digits are ``N_ik / N_ie`` (the denominator d cancels) at G^0 for
+    the rhs column and at G^-(k+1) for column ``base_basis[k]``.  No
+    gross-number is built: two ratios are compared by integer cross
+    products, level by level from G^0 down, and the first level where they
+    differ decides (``_ratio_order``).  The perturbation makes all ratios
+    distinct, so the minimum is attained at a unique row; an observed tie
+    means the rows of A_B^-1 A_B0 were not independent and raises
+    RatioTieError.
     """
-    candidate_rows = [i for i, row in enumerate(tableau.rows) if row[entering] > 0]
+    rows = tableau.rows
+    candidate_rows = [i for i, row in enumerate(rows) if row[entering] > 0]
     if not candidate_rows:
         return None
-    columns = [(0, -1)] + [(-(k + 1), j) for k, j in enumerate(base_basis)]
-    ratios = {}
-    for i in candidate_rows:
-        row = tableau.rows[i]
-        direction = row[entering]
-        ratios[i] = GrossNumber._from_terms(
-            tuple((p, Fraction(row[j], direction)) for p, j in columns if row[j])
-        )
+    columns = (-1, *base_basis)
     best_row = candidate_rows[0]
     for i in candidate_rows[1:]:
-        if compare(ratios[i], ratios[best_row]) < 0:
+        if _ratio_order(rows[i], rows[best_row], entering, columns) < 0:
             best_row = i
-    ties = [i for i in candidate_rows if i != best_row and compare(ratios[i], ratios[best_row]) == 0]
+    best = rows[best_row]
+    ties = [
+        i for i in candidate_rows
+        if i != best_row and _ratio_order(rows[i], best, entering, columns) == 0
+    ]
     if ties:
         raise RatioTieError(
             f"grossone ratio test: perturbed ratios tie between rows {best_row} and "
             f"{ties[0]}; rows of the carried initial basis are not independent"
         )
     return best_row
+
+
+def _ratio_order(row: List[int], other: List[int], entering: int, columns: Sequence[int]) -> int:
+    """Sign (-1, 0 or 1) of ``ratio(row) - ratio(other)``, where the ratio
+    of a row has the digits ``row[j] / row[entering]`` for j in ``columns``,
+    the leading level first.
+
+    Both directions are positive, so at each level ``row[j] / row[e]``
+    against ``other[j] / other[e]`` orders as the cross products
+    ``row[j] * other[e]`` against ``other[j] * row[e]``.
+    """
+    e, f = row[entering], other[entering]
+    for j in columns:
+        left, right = row[j] * f, other[j] * e
+        if left != right:
+            return -1 if left < right else 1
+    return 0
 
 
 def ratio_test_lexicographic(

@@ -97,6 +97,12 @@ class TestLpSolve:
         assert code == 0
         assert out.encode() == (DATA_DIR / "random_8x16_seed1_trace.out").read_bytes()
 
+    def test_larger_random_trace_matches_golden_file(self):
+        """24x48 reaches perturbation levels far below G^-8."""
+        code, out = run(["lp", "solve", "random:24x48", "--seed", "7", "--trace"])
+        assert code == 0
+        assert out.encode() == (DATA_DIR / "random_24x48_seed7_trace.out").read_bytes()
+
     def test_malformed_file_exit(self, tmp_path):
         path = tmp_path / "bad.lp"
         path.write_text("1 2\nc: 1\nA: 1 1\nb: 1\n")
@@ -156,7 +162,7 @@ class TestLpSolverFailures:
         assert "Traceback" not in err
 
     def test_grossone_ratio_tie_exit(self, monkeypatch, capsys):
-        monkeypatch.setattr(simplex, "compare", lambda a, b: 0)
+        monkeypatch.setattr(simplex, "_ratio_order", lambda *a: 0)
         self.assert_failure(
             capsys, ["lp", "solve", BEALE], "grossone ratio test: perturbed ratios tie"
         )

@@ -1,10 +1,11 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from grossone.arith import compare
+from grossone.arith import GrossNumber, compare
 from grossone.simplex import (
     Basis,
     LpFormatError,
@@ -13,6 +14,7 @@ from grossone.simplex import (
     RatioTieError,
     SolveStatus,
     Tableau,
+    _ratio_order,
     choose_entering,
     enumerate_vertices_oracle,
     parse_lp,
@@ -167,6 +169,26 @@ class TestChooseEntering:
         with pytest.raises(ValueError):
             choose_entering({0: F(-1)}, "fixed_order")
 
+    @pytest.mark.parametrize("rule", ["dantzig", "bland", "fixed_order"])
+    def test_int_and_fraction_costs_pick_the_same_column(self, rule):
+        rng = random.Random(11)
+        ties = 0
+        for _ in range(300):
+            # Keys in random order, values in a small range: ties are common.
+            integers = {j: rng.randint(-4, 4) for j in rng.sample(range(10), rng.randint(1, 8))}
+            scale = rng.randint(1, 6)
+            fractions = {j: F(v, scale) for j, v in integers.items()}
+            order = rng.sample(range(10), 10)
+            chosen = choose_entering(integers, rule, order)
+            assert choose_entering(fractions, rule, order) == chosen
+            negatives = [j for j, v in integers.items() if v < 0]
+            if rule == "dantzig" and negatives:
+                lowest = min(integers[j] for j in negatives)
+                tied = [j for j in negatives if integers[j] == lowest]
+                ties += len(tied) > 1
+                assert chosen == min(tied)
+        assert rule != "dantzig" or ties > 20
+
 
 class TestRatioTests:
     RATIO_LP = lp_from(
@@ -214,6 +236,61 @@ class TestRatioTests:
         assert rhs[0].coefficient(-1) == 1
         assert rhs[1].coefficient(-1) == 1
         assert rhs[1].coefficient(-2) == 1
+
+
+def perturbed_ratio(row, entering, columns):
+    """A candidate ratio built as a gross-number: the digit
+    ``row[j] / row[entering]`` at G^0 for the first column, G^-1 for the
+    next, and so on."""
+    return GrossNumber([(-k, F(row[j], row[entering])) for k, j in enumerate(columns)])
+
+
+def ratio_pairs(rng, count):
+    """Pairs of integer tableau rows with positive directions, whose ratios
+    differ at any level or not at all."""
+    for _ in range(count):
+        n = rng.randint(2, 7)
+        entering = rng.randrange(n)
+        columns = (-1, *rng.sample(range(n), rng.randint(1, n)))
+
+        def fresh():
+            row = [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n + 1)]
+            row[entering] = rng.randint(1, 9)
+            return row
+
+        row, other = fresh(), fresh()
+        kind = rng.choice(("random", "equal_leading_columns", "identical", "scaled"))
+        if kind == "identical":
+            other = list(row)
+        elif kind == "scaled":
+            factor = rng.randint(2, 5)
+            other = [factor * v for v in row]
+        elif kind == "equal_leading_columns":
+            factor = rng.randint(1, 4)
+            other[entering] = factor * row[entering]
+            for j in columns[:rng.randint(1, len(columns))]:
+                other[j] = factor * row[j]
+        yield row, other, entering, columns
+
+
+class TestRatioOrder:
+    """``_ratio_order`` compares two perturbed ratios in integers; its sign
+    must equal the comparison of the ratios built as gross-numbers."""
+
+    def test_matches_gross_number_comparison(self):
+        outcomes, deciding_levels = Counter(), Counter()
+        for row, other, entering, columns in ratio_pairs(random.Random(2024), 3000):
+            a = perturbed_ratio(row, entering, columns)
+            b = perturbed_ratio(other, entering, columns)
+            order = _ratio_order(row, other, entering, columns)
+            assert order == compare(a, b), (row, other, entering, columns)
+            outcomes[order] += 1
+            if order:
+                deciding_levels[(a - b).leading_power] += 1
+        assert min(outcomes[-1], outcomes[0], outcomes[1]) > 300
+        assert deciding_levels[0] > 300
+        assert sum(deciding_levels[level] for level in range(-1, -8, -1)) > 300
+        assert sum(deciding_levels[level] for level in range(-3, -8, -1)) > 50
 
 
 class TestSolve:
