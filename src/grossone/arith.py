@@ -8,22 +8,28 @@ ints are accepted and converted, floats are refused).  A value is finite
 when its only grosspower is 0, infinite when a positive grosspower appears,
 and infinitesimal when every grosspower is negative.
 
-Addition, subtraction and multiplication are exact.  Division inverts the
-divisor through a truncated geometric series: writing the divisor as
-``b = beta * G^q * (1 + r)``, where ``beta * G^q`` is the leading term and
-``r`` collects the trailing terms divided by it,
+Addition, subtraction and multiplication are exact.  Division by a
+multi-term divisor is the one truncated operation.  Writing the divisor as
+``b = beta * G^q * (1 + r)``, where ``beta * G^q`` is its leading term and
+``r`` collects the trailing terms divided by it, the quotient is the
+geometric series
 
-    a / b  =  a * (1/beta) * G^-q * sum_{i < K} (-r)^i
+    a / b  ~  a * (1/beta) * G^-q * sum_{i < K} (-r)^i
 
-truncated to K series levels below the quotient's leading grosspower.  The
-truncation is applied while the series is built: every power ``(-r)^i`` keeps
-only relative grosspowers ``>= -K`` (``r`` has only negative grosspowers, so
-a dropped term could only feed lower ones), and the scaled dividend keeps
-only grosspowers ``>= leading - K`` before the final product.  Each kept
-digit is the same sum of the same products, in the same order, as in the
-fully expanded series.  The residual ``a - (a/b)*b`` has leading grosspower
-at most ``leading(a) - K``, and the quotient is exact whenever ``b`` is a
-single term.  ``K`` is ``ArithConfig.truncation_order``.
+cut to the K + 1 levels ``L .. L - K`` below and at its leading grosspower
+``L = leading(a) - q``; ``K`` is ``ArithConfig.truncation_order``.  It is
+computed as an integer long division (pseudo-division, Knuth TAOCP Vol. 2
+4.6.1): the digits of ``a`` and ``b`` that reach those levels are scaled to
+ints, the dividend is multiplied by the K + 1st power of the divisor's
+integer leading digit, and each quotient digit is then one exact integer
+division; one ``Fraction`` is built per output digit.  Levels
+``L .. L - K + 1`` are the exact quotient's digits.  Level ``L - K`` is the
+series', which is the exact digit minus ``a'_L * (-r_{-1})^K`` (the leading
+term of the series power left out; ``a'_L`` is the quotient's leading digit
+and ``r_{-1}`` the digit of ``r`` at ``G^-1``, 0 if absent), so
+``(1 + G^-1) / (1 + G^-1)`` is ``1 - G^-8`` at K = 8.  The residual
+``a - (a/b)*b`` has leading grosspower at most ``leading(a) - K``, and the
+quotient is exact whenever ``b`` is a single term.
 
 Ordering is total: a nonzero gross-number takes the sign of its
 highest-grosspower digit, and ``a < b`` means ``sign(a - b) < 0``.  Comparison
@@ -266,40 +272,26 @@ class GrossNumber:
         """Truncated-series division.
 
         Exact (zero residual) when the divisor has a single term.  Otherwise
-        the quotient keeps K = config.truncation_order series levels below
-        its leading grosspower — every retained coefficient above the cutoff
-        equals the infinite-series quotient's — and the residual
-        ``a - (a/b)*b`` has leading grosspower at most ``leading(a) - K``.
-        Terms below the cutoff are never formed: each series power keeps
-        relative grosspowers ``>= -K`` and the scaled dividend grosspowers
-        ``>= leading - K``, which are all the terms the kept digits use.
+        the quotient has the K + 1 levels ``L .. L - K``, where
+        ``L = leading(a) - leading(b)`` and K = config.truncation_order,
+        built by integer long division in ``_series_quotient``.  Every level
+        but ``L - K`` is the exact quotient's; ``L - K`` is the K-term
+        geometric series' digit, the exact one minus ``a'_L * (-r_{-1})^K``
+        (module docstring).  The residual ``a - (a/b)*b`` has leading
+        grosspower at most ``leading(a) - K``.
         """
         other = as_gross(other)
         if other.is_zero():
             raise ZeroDivisionError("gross-number division by zero")
-        order = config.truncation_order
         q, beta = other._terms[0]
-        inverse = Fraction(1) / beta
-        # r = other / (beta * G^q) - 1: strictly negative relative grosspowers.
-        tail = _product_terms(other._terms[1:], ((-q, inverse),))
-        # a * (1/beta) * G^-q.  With a multi-term divisor only its grosspowers
-        # down to its leading grosspower minus K reach the quotient.
-        scaled = []
-        for p, d in self._terms:
-            if tail and scaled and p - q < scaled[0][0] - order:
-                break
-            scaled.append((p - q, d * inverse))
-        result = tuple(scaled)
-        if tail and scaled:
-            negated_tail = tuple((p, -d) for p, d in tail)
-            series_term = geometric = ONE._terms
-            for _ in range(order - 1):
-                series_term = _product_terms(series_term, negated_tail, -order)
-                if not series_term:
-                    break
-                geometric = _sum_terms(geometric, series_term)
-            result = _product_terms(result, geometric, result[0][0] - order)
-        return GrossNumber._from_terms(result)
+        if len(other._terms) == 1:
+            inverse = Fraction(1) / beta
+            return GrossNumber._from_terms(tuple((p - q, d * inverse) for p, d in self._terms))
+        if not self._terms:
+            return self
+        return GrossNumber._from_terms(
+            _series_quotient(self._terms, other._terms, config.truncation_order)
+        )
 
     def __truediv__(self, other) -> "GrossNumber":
         other = _coerce_operand(other)
@@ -437,26 +429,72 @@ def _compare_terms(a, b) -> int:
     return 0
 
 
-def _product_terms(a, b, floor=-math.inf) -> Tuple[Tuple[int, Fraction], ...]:
-    """Normalized terms of a * b at grosspowers >= floor.
-
-    Products are summed per grosspower in the order ``GrossNumber(...)``
-    would sum them (a outer, b inner), so a kept digit does not depend on
-    floor.  Both tuples descend, so a row stops at its first product below
-    floor.
-    """
+def _product_terms(a, b) -> Tuple[Tuple[int, Fraction], ...]:
+    """Normalized terms of a * b."""
     acc: dict[int, Fraction] = {}
     for pa, da in a:
         for pb, db in b:
             p = pa + pb
-            if p < floor:
-                break
             d = da * db
             if p in acc:
                 acc[p] = acc[p] + d
             else:
                 acc[p] = d
     return tuple((p, acc[p]) for p in sorted(acc, reverse=True) if acc[p] != 0)
+
+
+def _scaled_ints(terms, top: int, order: int):
+    """``(denominator, [(top - p, numerator)])`` for the terms at grosspowers
+    ``>= top - order``: their digits as ints over the lcm of their
+    denominators, keyed by depth below ``top``."""
+    kept = [(p, d) for p, d in terms if p >= top - order]
+    denominator = math.lcm(*(d.denominator for _, d in kept))
+    return denominator, [
+        (top - p, d.numerator * (denominator // d.denominator)) for p, d in kept
+    ]
+
+
+def _series_quotient(a, b, order: int) -> Tuple[Tuple[int, Fraction], ...]:
+    """Levels ``L .. L - order`` of a / b for a nonzero a and a multi-term b,
+    ``L = leading(a) - leading(b)``, by fraction-free long division.
+
+    With the kept digits of a as ints ``A_k / D_a`` and those of b as
+    ``B_j / D_b`` (k, j counting levels below each leading grosspower), the
+    quotient has ``size = order + 1`` levels, or only the dividend's kept
+    span when no trailing term of b is kept.  The dividend is multiplied by
+    ``B_0^size``; then every quotient digit
+    ``e_k = (A_k B_0^size - sum_(j>=1) B_j e_(k-j)) / B_0`` is an exact int,
+    and the quotient digit at ``L - k`` is ``D_b e_k / (D_a B_0^size)``.
+    The inner loop runs over b's nonzero trailing terms only, and no
+    ``Fraction`` is built before the last line.  The last digit then loses
+    ``A_0 (-B_1)^order``, the leading term of the series power ``(-r)^order``
+    that a geometric series of ``order`` terms leaves out, so the level
+    ``L - order`` is the truncated series' (see ``divide``).
+    """
+    top, q = a[0][0], b[0][0]
+    a_den, dividend = _scaled_ints(a, top, order)
+    b_den, divisor = _scaled_ints(b, q, order)
+    beta = divisor[0][1]
+    trailing = divisor[1:]
+    size = order + 1 if trailing else dividend[-1][0] + 1
+    scale = beta**size
+    digits = [0] * size
+    for k, numerator in dividend:
+        digits[k] = numerator * scale
+    for k in range(size):
+        digit = digits[k] // beta
+        digits[k] = digit
+        if digit:
+            for j, coefficient in trailing:
+                if k + j >= size:
+                    break
+                digits[k + j] -= coefficient * digit
+    if trailing and trailing[0][0] == 1:
+        digits[order] -= dividend[0][1] * (-trailing[0][1]) ** order
+    level, denominator = top - q, a_den * scale
+    return tuple(
+        (level - k, Fraction(b_den * e, denominator)) for k, e in enumerate(digits) if e
+    )
 
 
 def _coerce_operand(value):

@@ -61,6 +61,10 @@ _STATUS_EXIT = {
 
 _RANDOM_SPEC = re.compile(r"^random:(\d+)x(\d+)$")
 
+# A division to K levels makes about K^2 digit updates on integers of about
+# K words; at this bound a three-term divisor still takes well under a second.
+_MAX_TRUNC = 1000
+
 
 class _UsageError(Exception):
     pass
@@ -114,6 +118,8 @@ def build_parser() -> _Parser:
 def _check_counts(args) -> None:
     if getattr(args, "trunc", 1) < 1:
         raise _UsageError("--trunc must be at least 1")
+    if getattr(args, "trunc", 1) > _MAX_TRUNC:
+        raise _UsageError(f"--trunc must be at most {_MAX_TRUNC}")
     if getattr(args, "max_iter", 1) < 1:
         raise _UsageError("--max-iter must be at least 1")
 

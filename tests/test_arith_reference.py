@@ -30,6 +30,63 @@ def test_divide_matches_reference(a, b, order):
     assert a.divide(b, config).terms == ref.divide(a, b, config).terms
 
 
+wide_digits = st.builds(
+    Fraction,
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.integers(min_value=1, max_value=2**64),
+)
+nonzero_wide_digits = wide_digits.filter(bool)
+
+
+@st.composite
+def deep_divisions(draw):
+    """(a, b, K) with K up to 40, digits up to 2^64, a multi-term divisor
+    whose trailing terms leave gaps and may or may not include the level
+    just below its leading one, and a dividend with terms on both sides
+    of the cutoff."""
+    order = draw(st.integers(min_value=1, max_value=40))
+    top = draw(st.integers(-3, 3))
+    depths = draw(st.sets(st.integers(min_value=1, max_value=order + 6), max_size=4))
+    a = GrossNumber(
+        [(top, draw(nonzero_wide_digits))] + [(top - k, draw(wide_digits)) for k in depths]
+    )
+    q = draw(st.integers(-3, 3))
+    first = draw(st.booleans())
+    gaps = draw(st.sets(st.integers(min_value=2, max_value=9), min_size=0 if first else 1, max_size=3))
+    b = GrossNumber(
+        [(q, draw(nonzero_wide_digits))]
+        + [(q - j, draw(nonzero_wide_digits)) for j in sorted(gaps | ({1} if first else set()))]
+    )
+    return a, b, order
+
+
+@given(case=deep_divisions())
+@settings(deadline=None, max_examples=150)
+def test_deep_divide_matches_reference(case):
+    a, b, order = case
+    config = ArithConfig(truncation_order=order)
+    assert a.divide(b, config).terms == ref.divide(a, b, config).terms
+
+
+@pytest.mark.parametrize(
+    "dividend, order, expected",
+    [
+        ("1 + G^-1", 8, "1 - G^-8"),
+        ("1", 1, "1"),
+        ("1", 2, "1 - G^-1"),
+        ("1", 8, "1 - G^-1 + G^-2 - G^-3 + G^-4 - G^-5 + G^-6 - G^-7"),
+    ],
+)
+def test_divide_keeps_the_truncated_series_lowest_level(dividend, order, expected):
+    """Level leading - K is the K-term geometric series' digit, not the
+    exact quotient's: (1+G^-1)/(1+G^-1) keeps the -G^-8 that the ninth
+    series term would cancel."""
+    a, b = GrossNumber.parse(dividend), GrossNumber.parse("1 + G^-1")
+    config = ArithConfig(truncation_order=order)
+    assert str(a.divide(b, config)) == expected
+    assert a.divide(b, config).terms == ref.divide(a, b, config).terms
+
+
 @given(a=rational_gross, b=rational_gross)
 @settings(deadline=None, max_examples=200)
 def test_ring_operations_match_reference(a, b):

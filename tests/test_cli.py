@@ -54,6 +54,12 @@ class TestGrossEval:
         assert run(["gross", "eval", "G^-99999999"]) == (0, "G^-99999999\n")
         assert time.perf_counter() - start < 5
 
+    def test_deep_truncation_matches_golden_file(self):
+        expression = "(7/3 + G^-2) / (3/7 + 2*G^-1 + 5*G^-3)"
+        code, out = run(["gross", "eval", expression, "--trunc", "200"])
+        assert code == 0
+        assert out.encode() == (DATA_DIR / "gross_eval_deep_trunc200.out").read_bytes()
+
     def test_arith_flag_is_a_usage_error(self):
         code, out = run(["gross", "eval", "G / (1 + 4*G)", "--arith", "rational"])
         assert (code, out) == (64, "")
@@ -352,6 +358,28 @@ class TestUsage:
     def test_bad_trunc(self):
         code, _ = run(["gross", "eval", "G", "--trunc", "0"])
         assert code == 64
+
+    @pytest.mark.parametrize("value", ["1001", "100000000"])
+    @pytest.mark.parametrize(
+        "command",
+        [["gross", "eval", "1/(1+G^-1)"], ["nlp", "penalty", QUADRATIC]],
+        ids=["gross-eval", "nlp-penalty"],
+    )
+    def test_trunc_above_limit_is_a_usage_error(self, capsys, command, value):
+        code, out = run(command + ["--trunc", value])
+        assert (code, out) == (64, "")
+        assert capsys.readouterr().err == "usage error: --trunc must be at most 1000\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [["gross", "eval", "(7/3 + G^-2) / (3/7 + 2*G^-1 + 5*G^-3)"], ["nlp", "penalty", QUADRATIC]],
+        ids=["gross-eval", "nlp-penalty"],
+    )
+    def test_trunc_at_limit_is_accepted_and_fast(self, command):
+        start = time.perf_counter()
+        code, _ = run(command + ["--trunc", "1000"])
+        assert code == 0
+        assert time.perf_counter() - start < 5
 
     @pytest.mark.parametrize("value", ["0", "-5"])
     @pytest.mark.parametrize(
