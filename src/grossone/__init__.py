@@ -26,8 +26,6 @@ from .arith import (
     compare,
 )
 from .linalg import (
-    GrossMatrix,
-    GrossVector,
     SingularMatrixError,
     rational_rank,
     solve_linear,

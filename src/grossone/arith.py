@@ -40,6 +40,7 @@ differ, without forming ``a - b``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple, Union
@@ -68,6 +69,20 @@ class ParseError(ValueError):
         super().__init__(f"{message} at position {pos}: {snippet!r}")
         self.text = text
         self.pos = pos
+
+
+# The most decimal digits Python converts between an int and text; 0 means
+# no limit, as on Pythons older than 3.10.7, which lack the function.
+_str_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _decimal_int(digits: str) -> int:
+    """``int(digits)`` for a string of decimal digits; one longer than
+    ``_str_digit_limit`` raises ValueError before the conversion is tried."""
+    limit = _str_digit_limit()
+    if 0 < limit < len(digits):
+        raise ValueError(f"integer of {len(digits)} digits is over the {limit}-digit limit")
+    return int(digits)
 
 
 class _Scanner:
@@ -101,11 +116,15 @@ class _Scanner:
 
     def read_uint(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an unsigned integer")
-        return int(self.text[start:self.pos])
+        try:
+            return _decimal_int(self.text[start:self.pos])
+        except ValueError as exc:
+            self.pos = start
+            raise self.error(str(exc)) from None
 
     def read_int(self) -> int:
         sign = 1

@@ -3,8 +3,9 @@
 Subcommands: ``lp solve``, ``lp compare``, ``nlp penalty``, ``gross eval``.
 Reports print exact rationals only (never decimals) so outputs are stable
 byte for byte.  Exit codes: 0 optimal/verified/identical, 1 infeasible,
-2 unbounded, 3 cycle detected, 4 iteration limit, 5 solver failure,
-6 KKT not verified, 64 usage error, 65 parse error.
+2 unbounded, 3 cycle detected, 4 iteration limit, 5 solver failure or a
+result too long to print, 6 KKT not verified, 64 usage error, 65 parse
+error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .arith import ArithConfig, GROSSONE, GrossNumber, ParseError, _Scanner
+from .arith import (
+    ArithConfig, GROSSONE, GrossNumber, ParseError, _Scanner, _decimal_int, _str_digit_limit,
+)
 from .penalty import (
     InfeasibleStationaryError,
     NewtonDivergenceError,
@@ -74,6 +77,10 @@ class _InputError(Exception):
     """An input file that cannot be read as UTF-8 text."""
 
 
+class _UnprintableError(Exception):
+    """A result holds an integer with more digits than Python prints."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 64 instead of argparse's 2
         raise _UsageError(message)
@@ -124,6 +131,26 @@ def _check_counts(args) -> None:
         raise _UsageError("--max-iter must be at least 1")
 
 
+def _check_printable(values) -> None:
+    """Raise _UnprintableError unless every int in ``values`` (ints,
+    Fractions and gross-numbers, whose grosspowers and digits are read) fits
+    ``_str_digit_limit``.  An int of b bits has at most floor(b log10 2) + 1
+    decimal digits, bounded here from the bit length alone."""
+    limit = _str_digit_limit()
+    if not limit:
+        return
+    for value in values:
+        if isinstance(value, GrossNumber):
+            _check_printable([number for term in value.terms for number in term])
+            continue
+        for number in (value.numerator, value.denominator):
+            if number.bit_length() * 30103 // 100000 >= limit:
+                raise _UnprintableError(
+                    f"result too long to print: an integer of {number.bit_length()} bits "
+                    f"is over the {limit}-digit limit"
+                )
+
+
 def _format_vector(values: Sequence) -> str:
     return "(" + ", ".join(str(v) for v in values) + ")"
 
@@ -144,8 +171,8 @@ def _load_lp(args) -> tuple[LpStandardForm, random.Random | None]:
     if match:
         if rng is None:
             raise _UsageError("random:<m>x<n> inputs require --seed")
-        m, n = int(match.group(1)), int(match.group(2))
         try:
+            m, n = _decimal_int(match.group(1)), _decimal_int(match.group(2))
             return random_degenerate_lp(rng, m, n), rng
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
@@ -169,12 +196,17 @@ def cmd_lp_solve(args, out) -> int:
     order = _entering_order(args, lp, rng)
     outcome = solve(lp, entering=_entering_rule(args), leaving=args.leaving,
                     order=order, max_iter=args.max_iter)
+    optimal = outcome.status is SolveStatus.OPTIMAL
+    _check_printable(
+        [event.objective for event in outcome.trace.events if args.trace]
+        + ([*outcome.x, outcome.value] if optimal else [])
+    )
     if args.trace:
         for line in outcome.trace.format_lines():
             print(line, file=out)
     print(f"status: {outcome.status.value}", file=out)
     print(f"pivots: {len(outcome.trace.events)}", file=out)
-    if outcome.status is SolveStatus.OPTIMAL:
+    if optimal:
         print(f"x = {_format_vector(outcome.x)}", file=out)
         print(f"value = {outcome.value}", file=out)
     return _STATUS_EXIT[outcome.status]
@@ -222,19 +254,22 @@ def cmd_nlp_penalty(args, out) -> int:
     )
     xstar = stationary_solve(problem, penalty_config)
     certificate = extract_certificate(problem, xstar)
+    report = verify_kkt(problem, certificate, tol=Fraction(0))
+    cq = check_constraint_qualification(problem, certificate.x0)
+    series = [_display_series(entry) for entry in xstar]
+    _check_printable([*series, *certificate.x0, *certificate.mu, *certificate.pi,
+                      *vars(report).values()])
     print("stationary point:", file=out)
-    for i, entry in enumerate(xstar):
-        print(f"  x{i + 1} = {_display_series(entry)}", file=out)
+    for i, entry in enumerate(series):
+        print(f"  x{i + 1} = {entry}", file=out)
     print(f"x0 = {_format_vector(certificate.x0)}", file=out)
     print(f"mu = {_format_vector(certificate.mu)}", file=out)
     print(f"pi = {_format_vector(certificate.pi)}", file=out)
-    report = verify_kkt(problem, certificate, tol=Fraction(0))
     print(f"stationarity = {report.stationarity}", file=out)
     print(f"feasibility_h = {report.feasibility_h}", file=out)
     print(f"feasibility_g = {report.feasibility_g}", file=out)
     print(f"multiplier_sign = {report.multiplier_sign}", file=out)
     print(f"complementarity = {report.complementarity}", file=out)
-    cq = check_constraint_qualification(problem, certificate.x0)
     cq_word = "holds" if cq.holds else "FAILS"
     print(f"MLICQ: {cq_word} (rank {cq.rank} of {cq.gradient_count})", file=out)
     if report.passed:
@@ -318,6 +353,7 @@ class _GrossExprReader(_Scanner):
 
 def cmd_gross_eval(args, out) -> int:
     result = _GrossExprReader(args.expression, ArithConfig(truncation_order=args.trunc)).read_all()
+    _check_printable([result])
     print(str(result), file=out)
     return EXIT_OK
 
@@ -354,6 +390,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         RankDeficiencyError,
         PhaseOneError,
         RatioTieError,
+        _UnprintableError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE

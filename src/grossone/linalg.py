@@ -1,4 +1,4 @@
-"""Dense vectors and matrices over gross-numbers, plus exact linear solvers.
+"""Exact linear solvers over gross-numbers and over the rationals.
 
 One fraction-free (Bareiss) Gauss-Jordan elimination serves every solve.
 It runs on rows scaled by the lcm of their denominators, so that every entry
@@ -6,10 +6,11 @@ lies in an integral domain and every division in it is exact: the integers
 for rational matrices, Laurent polynomials in G with integer coefficients
 for gross-number ones.
 
-solve_linear eliminates a gross-number system exactly, then makes one
-division per unknown.  A solution that is a Laurent polynomial in G comes
-out exact; any other is one truncated series division (per ArithConfig)
-of two exact gross-numbers, whose digits above the cutoff are exact.
+solve_linear eliminates a gross-number system, given as plain sequences,
+exactly, then makes one division per unknown and returns a tuple.  A
+solution that is a Laurent polynomial in G comes out exact; any other is one
+truncated series division (per ArithConfig) of two exact gross-numbers,
+whose digits above the cutoff are exact.
 
 solve_rational_columns returns integer columns over one positive
 denominator, |det| of the scaled matrix, which the starting tableau of each
@@ -24,13 +25,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .arith import ArithConfig, DEFAULT_CONFIG, GrossNumber, ZERO, as_gross
+from .arith import ArithConfig, DEFAULT_CONFIG, GrossNumber, Scalar, ZERO, as_gross
 
 __all__ = [
-    "GrossMatrix",
-    "GrossVector",
     "SingularMatrixError",
     "solve_linear",
     "rational_rank",
@@ -43,113 +42,37 @@ class SingularMatrixError(ValueError):
     """No usable pivot: the matrix is singular (up to truncation)."""
 
 
-class GrossVector:
-    """Fixed-length immutable vector of gross-numbers."""
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Iterable):
-        self._entries = tuple(as_gross(e) for e in entries)
-
-    @property
-    def entries(self) -> Tuple[GrossNumber, ...]:
-        return self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[GrossNumber]:
-        return iter(self._entries)
-
-    def __getitem__(self, index: int) -> GrossNumber:
-        return self._entries[index]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GrossVector):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash(self._entries)
-
-    def __add__(self, other: "GrossVector") -> "GrossVector":
-        if len(self) != len(other):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        return GrossVector(a + b for a, b in zip(self._entries, other._entries))
-
-    def __sub__(self, other: "GrossVector") -> "GrossVector":
-        if len(self) != len(other):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        return GrossVector(a - b for a, b in zip(self._entries, other._entries))
-
-    def __neg__(self) -> "GrossVector":
-        return GrossVector(-a for a in self._entries)
-
-    def finite_parts(self) -> Tuple:
-        return tuple(e.finite_part() for e in self._entries)
-
-    def __repr__(self) -> str:
-        return "GrossVector([" + ", ".join(str(e) for e in self._entries) + "])"
-
-
-class GrossMatrix:
-    """Rectangular immutable matrix of gross-numbers, row-major."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows: Iterable[Iterable]):
-        built = tuple(tuple(as_gross(e) for e in row) for row in rows)
-        if not built or not built[0]:
-            raise ValueError("matrix must have at least one row and one column")
-        width = len(built[0])
-        if any(len(row) != width for row in built):
-            raise ValueError("matrix rows must all have the same length")
-        self._rows = built
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return len(self._rows), len(self._rows[0])
-
-    def row(self, i: int) -> Tuple[GrossNumber, ...]:
-        return self._rows[i]
-
-    def __getitem__(self, index: Tuple[int, int]) -> GrossNumber:
-        i, j = index
-        return self._rows[i][j]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GrossMatrix):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __repr__(self) -> str:
-        return f"GrossMatrix({[[str(e) for e in row] for row in self._rows]})"
-
-
 def solve_linear(
-    matrix: GrossMatrix,
-    rhs: GrossVector,
+    matrix: Sequence[Sequence[Scalar]],
+    rhs: Sequence[Scalar],
     config: ArithConfig = DEFAULT_CONFIG,
-) -> GrossVector:
+) -> Tuple[GrossNumber, ...]:
     """Solve M x = rhs over gross-numbers: exact elimination, then one
     division per unknown.
 
-    Each row of ``[M | rhs]`` is scaled by the lcm of its digit denominators,
-    so its entries are Laurent polynomials in G with integer coefficients,
-    and ``_bareiss_gauss_jordan`` turns the rows into ``[d I | N]`` exactly.
-    Then ``x_i = N_i / d``: the exact quotient when d divides N_i over the
-    rationals, so x is exact whenever the solution is a Laurent polynomial
-    in G (in particular for all-rational matrices); otherwise
-    ``N_i.divide(d, config)``, the only truncated operation.  The digits do
-    not depend on the order of the rows, and every coefficient above the
-    cutoff grosspower ``leading(x_i) - K`` is exact.
+    M is a nonempty square sequence of rows and rhs has one entry per row;
+    every entry goes through ``as_gross``, so floats and bools raise
+    TypeError.  Each row of ``[M | rhs]`` is scaled by the lcm of its digit
+    denominators, so its entries are Laurent polynomials in G with integer
+    coefficients, and ``_bareiss_gauss_jordan`` turns the rows into
+    ``[d I | N]`` exactly.  Then ``x_i = N_i / d``: the exact quotient when
+    d divides N_i over the rationals, so x is exact whenever the solution is
+    a Laurent polynomial in G (in particular for all-rational matrices);
+    otherwise ``N_i.divide(d, config)``, the only truncated operation.  The
+    digits do not depend on the order of the rows, and every coefficient
+    above the cutoff grosspower ``leading(x_i) - K`` is exact.
     """
-    m, n = matrix.shape
-    if m != n:
-        raise ValueError(f"matrix must be square, got {m}x{n}")
+    n = len(matrix)
+    if not n:
+        raise ValueError("matrix must have at least one row and one column")
+    width = len(matrix[0])
+    if any(len(row) != width for row in matrix):
+        raise ValueError("matrix rows must all have the same length")
+    if width != n:
+        raise ValueError(f"matrix must be square, got {n}x{width}")
     if len(rhs) != n:
         raise ValueError(f"shape mismatch: matrix is {n}x{n}, rhs has length {len(rhs)}")
-    rows = [_poly_row(matrix.row(i) + (rhs[i],)) for i in range(n)]
+    rows = [_poly_row([as_gross(e) for e in row] + [as_gross(b)]) for row, b in zip(matrix, rhs)]
     rank, d = _bareiss_gauss_jordan(rows, n)
     if rank < n:
         # Pivot rows keep their order, so the first pivotless column is the
@@ -162,7 +85,7 @@ def solve_linear(
         if quotient is None:
             quotient = row[n].gross().divide(d.gross(), config)
         solution.append(quotient)
-    return GrossVector(solution)
+    return tuple(solution)
 
 
 class _IntPoly:

@@ -5,12 +5,13 @@ unconstrained penalty
 
     f(x) + (G/2) * sum_i max{0, g_i(x)}^2 + (G/2) * sum_j h_j(x)^2
 
-is minimized over gross-number vectors by a semismooth Newton method: each
-max term counts as active exactly when its gross-number value is > 0 (the
-full series sign, not just the finite part — an active constraint can sit at
-an infinitesimal violation).  For quadratic objectives with affine
-constraints the stationarity system is linear over gross-numbers and Newton
-lands on it in one step.
+is minimized over points x, tuples of gross-numbers, by a semismooth
+Newton method; each step is one ``linalg.solve_linear`` of the Jacobian
+rows against the negated gradient.  Each max term counts as active exactly
+when its gross-number value is > 0 (the full series sign, not just the
+finite part — an active constraint can sit at an infinitesimal violation).
+For quadratic objectives with affine constraints the stationarity system is
+linear over gross-numbers and Newton lands on it in one step.
 
 Every equality and every active inequality enters the penalty the same
 way, as (G/2) c(x)^2.  At each Newton iterate the constraints are
@@ -36,8 +37,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .arith import ArithConfig, DEFAULT_CONFIG, GROSSONE, GrossNumber, ZERO, as_gross
-from .linalg import GrossMatrix, GrossVector, SingularMatrixError, rational_rank, solve_linear
+from .arith import (
+    ArithConfig, DEFAULT_CONFIG, GROSSONE, GrossNumber, Scalar, ZERO, _decimal_int, as_gross,
+)
+from .linalg import SingularMatrixError, rational_rank, solve_linear
 from .polyexpr import (
     PolyExpr,
     differentiate,
@@ -194,7 +197,7 @@ def _partials(expr: PolyExpr, n: int) -> tuple:
     return gradient, [[differentiate(gradient[a], b) for b in range(n)] for a in range(n)]
 
 
-def _penalized_at(tables: _DerivativeTables, x: GrossVector) -> list:
+def _penalized_at(tables: _DerivativeTables, x: Tuple[GrossNumber, ...]) -> list:
     """(value, gradient at x, Hessian) of each constraint the penalty weights
     at x: every equality, and each inequality whose value is > 0."""
     penalized = []
@@ -208,25 +211,25 @@ def _penalized_at(tables: _DerivativeTables, x: GrossVector) -> list:
 
 def _gradient_at(
     tables: _DerivativeTables,
-    x: GrossVector,
+    x: Tuple[GrossNumber, ...],
     weight: GrossNumber,
     penalized: list,
-) -> GrossVector:
+) -> Tuple[GrossNumber, ...]:
     entries = []
     for a, grad_f in enumerate(tables.grad_f):
         penalty_part = ZERO
         for value, gradient, _ in penalized:
             penalty_part = penalty_part + gradient[a] * value
         entries.append(eval_gross(grad_f, x) + weight * penalty_part)
-    return GrossVector(entries)
+    return tuple(entries)
 
 
 def _jacobian_at(
     tables: _DerivativeTables,
-    x: GrossVector,
+    x: Tuple[GrossNumber, ...],
     weight: GrossNumber,
     penalized: list,
-) -> GrossMatrix:
+) -> List[List[GrossNumber]]:
     rows = []
     for a, hess_f_row in enumerate(tables.hess_f):
         row = []
@@ -240,10 +243,10 @@ def _jacobian_at(
                 )
             row.append(eval_gross(hess_f, x) + weight * penalty_part)
         rows.append(row)
-    return GrossMatrix(rows)
+    return rows
 
 
-def _within_tol(gradient: GrossVector, tol: Fraction) -> bool:
+def _within_tol(gradient: Sequence[GrossNumber], tol: Fraction) -> bool:
     for entry in gradient:
         for power, digit in entry.terms:
             if power < -1:
@@ -257,12 +260,12 @@ def _newton(
     problem: NlpProblem,
     weight: GrossNumber,
     config: PenaltyConfig,
-) -> GrossVector:
+) -> Tuple[GrossNumber, ...]:
     tables = _DerivativeTables(problem)
     start = config.start or tuple(Fraction(0) for _ in range(problem.dimension))
     if len(start) != problem.dimension:
         raise ValueError("start point has the wrong dimension")
-    x = GrossVector(start)
+    x = tuple(as_gross(v) for v in start)
     for steps in range(config.newton_max_iter + 1):
         penalized = _penalized_at(tables, x)
         gradient = _gradient_at(tables, x, weight, penalized)
@@ -271,7 +274,8 @@ def _newton(
         if steps < config.newton_max_iter:
             jacobian = _jacobian_at(tables, x, weight, penalized)
             try:
-                x = x + solve_linear(jacobian, -gradient, config.arith)
+                step = solve_linear(jacobian, [-g for g in gradient], config.arith)
+                x = tuple(a + b for a, b in zip(x, step))
             except SingularMatrixError as exc:
                 raise SingularMatrixError(
                     f"Newton step {steps + 1}: singular Jacobian ({exc})"
@@ -284,8 +288,9 @@ def _newton(
 def stationary_solve(
     problem: NlpProblem,
     config: Optional[PenaltyConfig] = None,
-) -> GrossVector:
-    """Stationary point of the G-weighted penalty by semismooth Newton.
+) -> Tuple[GrossNumber, ...]:
+    """Stationary point of the G-weighted penalty by semismooth Newton, as
+    a tuple of gross-numbers.
 
     For quadratic objectives with affine constraints the stationarity system
     is linear over gross-numbers and one step suffices from any start.
@@ -296,8 +301,9 @@ def stationary_solve(
 # -- certificates -----------------------------------------------------------------
 
 
-def extract_certificate(problem: NlpProblem, xstar: GrossVector) -> KktCertificate:
-    """Read the KKT certificate off a stationary point.
+def extract_certificate(problem: NlpProblem, xstar: Sequence[Scalar]) -> KktCertificate:
+    """Read the KKT certificate off a stationary point, a sequence of
+    ints, Fractions or gross-numbers.
 
     The primal point is the finite part of x*.  Equality multipliers are the
     finite parts of G*h_j(x*); inequality multipliers are zero for
@@ -306,6 +312,7 @@ def extract_certificate(problem: NlpProblem, xstar: GrossVector) -> KktCertifica
     zero means the stationary point is infeasible where it matters and
     raises InfeasibleStationaryError.
     """
+    xstar = tuple(as_gross(e) for e in xstar)
     if len(xstar) != problem.dimension:
         raise ValueError("stationary point has the wrong dimension")
     for entry in xstar:
@@ -451,9 +458,12 @@ def parse_nlp(text: str) -> NlpProblem:
             continue
         if dimension is None:
             parts = stripped.split()
-            if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
+            if len(parts) != 2 or parts[0] != "n" or not parts[1].isdecimal():
                 raise NlpFormatError(f"line {line_no}: expected 'n <dimension>' first")
-            dimension, dimension_line = int(parts[1]), line_no
+            try:
+                dimension, dimension_line = _decimal_int(parts[1]), line_no
+            except ValueError as exc:
+                raise NlpFormatError(f"line {line_no}: {exc}") from None
             continue
         if ":" not in stripped:
             raise NlpFormatError(f"line {line_no}: expected 'f:', 'g:' or 'h:' line")

@@ -5,7 +5,7 @@ nonzero ``Fraction`` coefficients: ``{(2, 0): 1/2, (0, 1): -1}`` is
 ``1/2*x1^2 - x2``, and the zero polynomial is ``{}``.  The parser expands
 every expression into this canonical form, so two texts for the same
 polynomial give equal maps.  Differentiation is exact and stays in the same
-form, and evaluation over plain rationals or gross-number vectors uses only
+form, and evaluation at points of plain rationals or of gross-numbers uses only
 addition and multiplication, so it is always exact; division never appears
 in the function class.
 
@@ -22,8 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple, Union
 
-from .arith import ZERO, GrossNumber, _Scanner, as_gross
-from .linalg import GrossVector
+from .arith import ZERO, GrossNumber, Scalar, _Scanner, as_gross
 
 __all__ = [
     "PolyExpr",
@@ -93,8 +92,9 @@ def eval_rational(expr: PolyExpr, point: Sequence[Union[int, Fraction]]) -> Frac
     return total
 
 
-def eval_gross(expr: PolyExpr, point: Union[GrossVector, Sequence]) -> GrossNumber:
-    """Evaluate over a gross-number vector; exact (add/mul only)."""
+def eval_gross(expr: PolyExpr, point: Sequence[Scalar]) -> GrossNumber:
+    """Evaluate at a point of ints, Fractions or gross-numbers; exact
+    (add/mul only)."""
     total = ZERO
     for monomial, coefficient in expr.items():
         term = as_gross(coefficient)

@@ -42,9 +42,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .arith import GrossNumber
+from .arith import GrossNumber, _decimal_int
 from .linalg import (
-    GrossVector,
     SingularMatrixError,
     _as_fraction,
     _integer_row,
@@ -354,7 +353,7 @@ def choose_entering(
     raise ValueError(f"unknown entering rule {rule!r}")
 
 
-def perturbed_rhs(tableau: Tableau, base_basis: Basis) -> GrossVector:
+def perturbed_rhs(tableau: Tableau, base_basis: Basis) -> Tuple[GrossNumber, ...]:
     """A_B^-1 b + (A_B^-1 A_B0) e with e = (G^-1, ..., G^-m).
 
     The finite part of each entry is exactly (A_B^-1 b)_i; the perturbation
@@ -366,7 +365,7 @@ def perturbed_rhs(tableau: Tableau, base_basis: Basis) -> GrossVector:
         terms = [(0, Fraction(row[-1], d))]
         terms.extend((-(k + 1), Fraction(row[j], d)) for k, j in enumerate(base_basis))
         entries.append(GrossNumber(terms))
-    return GrossVector(entries)
+    return tuple(entries)
 
 
 def perturbed_objective(tableau: Tableau, base_basis: Basis) -> GrossNumber:
@@ -397,13 +396,7 @@ def ratio_test_plain(tableau: Tableau, entering: int) -> Optional[int]:
     reproduces classic cycling on degenerate instances.  The ratio of row i
     is ``N_ib / N_ie`` (d cancels), compared by cross-multiplication.
     """
-    best_row = None
-    for i, row in enumerate(tableau.rows):
-        if row[entering] <= 0:
-            continue
-        if best_row is None or row[-1] * best[entering] < best[-1] * row[entering]:
-            best_row, best = i, row
-    return best_row
+    return _first_minimum(tableau.rows, entering, (-1,))
 
 
 def ratio_test_grossone(
@@ -424,24 +417,31 @@ def ratio_test_grossone(
     RatioTieError.
     """
     rows = tableau.rows
-    candidate_rows = [i for i, row in enumerate(rows) if row[entering] > 0]
-    if not candidate_rows:
-        return None
     columns = (-1, *base_basis)
-    best_row = candidate_rows[0]
-    for i in candidate_rows[1:]:
-        if _ratio_order(rows[i], rows[best_row], entering, columns) < 0:
-            best_row = i
+    best_row = _first_minimum(rows, entering, columns)
+    if best_row is None:
+        return None
     best = rows[best_row]
     ties = [
-        i for i in candidate_rows
-        if i != best_row and _ratio_order(rows[i], best, entering, columns) == 0
+        i for i, row in enumerate(rows)
+        if i != best_row and row[entering] > 0 and _ratio_order(row, best, entering, columns) == 0
     ]
     if ties:
         raise RatioTieError(
             f"grossone ratio test: perturbed ratios tie between rows {best_row} and "
             f"{ties[0]}; rows of the carried initial basis are not independent"
         )
+    return best_row
+
+
+def _first_minimum(rows: List[List[int]], entering: int, columns: Sequence[int]) -> Optional[int]:
+    """The first of the rows with a positive entry in column ``entering``
+    whose ratio over ``columns`` (``_ratio_order``) is least, or None when
+    no row has one."""
+    best_row = best = None
+    for i, row in enumerate(rows):
+        if row[entering] > 0 and (best is None or _ratio_order(row, best, entering, columns) < 0):
+            best_row, best = i, row
     return best_row
 
 
@@ -680,16 +680,21 @@ def enumerate_vertices_oracle(
 
 # -- instance text format -----------------------------------------------------------
 
-_RATIONAL_TOKEN = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_TOKEN = re.compile(r"^([+-]?)(\d+)(?:/(\d+))?$")
 
 
 def _parse_rational_token(token: str, line_no: int) -> Fraction:
-    if not _RATIONAL_TOKEN.match(token):
+    match = _RATIONAL_TOKEN.match(token)
+    if not match:
         raise LpFormatError(f"line {line_no}: bad rational {token!r} (use p/q or an integer)")
+    sign, numerator, denominator = match.groups()
     try:
-        return Fraction(token)
+        value = Fraction(_decimal_int(numerator), _decimal_int(denominator or "1"))
     except ZeroDivisionError:
         raise LpFormatError(f"line {line_no}: zero denominator in {token!r}") from None
+    except ValueError as exc:
+        raise LpFormatError(f"line {line_no}: {exc}") from None
+    return -value if sign == "-" else value
 
 
 def parse_lp(text: str) -> LpStandardForm:
@@ -720,9 +725,12 @@ def parse_lp(text: str) -> LpStandardForm:
 
     line_no, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
         raise LpFormatError(f"line {line_no}: expected header 'm n'")
-    m, n = int(parts[0]), int(parts[1])
+    try:
+        m, n = map(_decimal_int, parts)
+    except ValueError as exc:
+        raise LpFormatError(f"line {line_no}: {exc}") from None
     if len(lines) != 2 + m + 1:
         raise LpFormatError(
             f"expected {2 + m + 1} content lines for m={m}, got {len(lines)}"

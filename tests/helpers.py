@@ -5,9 +5,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence, Tuple
 
 from grossone.arith import ZERO, GrossNumber
-from grossone.linalg import GrossMatrix, GrossVector
 from grossone.polyexpr import PolyExpr, eval_rational
 from grossone.simplex import LpStandardForm, random_degenerate_lp
 
@@ -15,12 +15,12 @@ INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
-def matvec(matrix: GrossMatrix, vector: GrossVector) -> GrossVector:
+def matvec(matrix: Sequence[Sequence], vector: Sequence) -> Tuple[GrossNumber, ...]:
     """Exact matrix-vector product (add/mul only), for residual checks."""
-    m, n = matrix.shape
+    m, n = len(matrix), len(matrix[0])
     if len(vector) != n:
         raise ValueError(f"shape mismatch: matrix is {m}x{n}, vector has length {len(vector)}")
-    return GrossVector(sum((matrix[i, j] * vector[j] for j in range(n)), ZERO) for i in range(m))
+    return tuple(sum((matrix[i][j] * vector[j] for j in range(n)), ZERO) for i in range(m))
 
 
 def random_fraction(rng: random.Random, bound: int = 100) -> Fraction:

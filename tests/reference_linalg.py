@@ -12,10 +12,9 @@ It uses only gross-number arithmetic and shares nothing with the solver.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence, Tuple
 
-from grossone.arith import ArithConfig, GrossNumber, ZERO
-from grossone.linalg import GrossMatrix, GrossVector
+from grossone.arith import ArithConfig, GrossNumber, ZERO, as_gross
 
 
 class ReferenceSingularError(ValueError):
@@ -27,9 +26,11 @@ def _pivot_key(entry: GrossNumber):
     return entry.leading_power, abs(entry.leading_digit)
 
 
-def truncated_solve(matrix: GrossMatrix, rhs: GrossVector, config: ArithConfig) -> GrossVector:
-    n = matrix.shape[0]
-    rows: List[List[GrossNumber]] = [list(matrix.row(i)) + [rhs[i]] for i in range(n)]
+def truncated_solve(
+    matrix: Sequence[Sequence], rhs: Sequence, config: ArithConfig
+) -> Tuple[GrossNumber, ...]:
+    n = len(matrix)
+    rows: List[List[GrossNumber]] = [[as_gross(v) for v in matrix[i]] + [as_gross(rhs[i])] for i in range(n)]
     for col in range(n):
         pivot_row = None
         pivot_key = None
@@ -58,4 +59,4 @@ def truncated_solve(matrix: GrossMatrix, rhs: GrossVector, config: ArithConfig) 
         for j in range(i + 1, n):
             total = total - rows[i][j] * solution[j]
         solution[i] = total.divide(rows[i][i], config)
-    return GrossVector(solution)
+    return tuple(solution)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from grossone.arith import ZERO, GrossNumber, as_gross, compare
-from grossone.linalg import GrossVector, solve_rational_vector
+from grossone.linalg import solve_rational_vector
 from grossone.simplex import Basis, LpStandardForm
 
 
@@ -88,7 +88,7 @@ def objective_row(lp: LpStandardForm, basis: Basis) -> List[Fraction]:
     return row
 
 
-def perturbed_rhs(lp: LpStandardForm, basis: Basis, base_basis: Basis) -> GrossVector:
+def perturbed_rhs(lp: LpStandardForm, basis: Basis, base_basis: Basis) -> Tuple[GrossNumber, ...]:
     """A_B^-1 b + (A_B^-1 A_B0) e with e = (G^-1, ..., G^-m)."""
     a_b = basis_matrix(lp, basis)
     xb = solve_rational_vector(a_b, lp.b)
@@ -98,7 +98,7 @@ def perturbed_rhs(lp: LpStandardForm, basis: Basis, base_basis: Basis) -> GrossV
         terms = [(0, xb[i])]
         terms.extend((-(k + 1), carried[k][i]) for k in range(len(base_basis)))
         entries.append(GrossNumber(terms))
-    return GrossVector(entries)
+    return tuple(entries)
 
 
 def perturbed_objective(lp: LpStandardForm, basis: Basis, base_basis: Basis) -> GrossNumber:

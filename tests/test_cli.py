@@ -1,4 +1,5 @@
 import io
+import sys
 import time
 
 import pytest
@@ -11,6 +12,13 @@ from helpers import DATA_DIR, INSTANCE_DIR
 BEALE = str(INSTANCE_DIR / "beale.lp")
 QUADRATIC = str(INSTANCE_DIR / "quadratic_equality.nlp")
 BOUND = str(INSTANCE_DIR / "linear_bound.nlp")
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" * 5001
+OVER_LIMIT = f"integer of 5001 digits is over the {DIGIT_LIMIT}-digit limit"
+needs_digit_limit = pytest.mark.skipif(
+    not 0 < DIGIT_LIMIT < 5001, reason="no int/str digit limit below 5001 digits"
+)
 
 
 def run(args):
@@ -344,6 +352,77 @@ class TestUnreadableInput:
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestIntegerLiterals:
+    """A literal past Python's int/str digit limit is a parse error naming
+    its line or position (exit 65), a random: size past it a usage error
+    (exit 64), and a result holding an integer too long to print exits 5;
+    each prints one line on stderr and nothing on stdout."""
+
+    @needs_digit_limit
+    @pytest.mark.parametrize(
+        "expression, position", [(LONG, 0), (f"2^{LONG}", 2)], ids=["literal", "exponent"]
+    )
+    def test_gross_eval_literal(self, capsys, expression, position):
+        assert run(["gross", "eval", expression]) == (65, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {OVER_LIMIT} at position {position}: ")
+        assert err.count("\n") == 1
+
+    @needs_digit_limit
+    @pytest.mark.parametrize(
+        "command, text, line",
+        [
+            (["lp", "solve"], f"{LONG} 8\nc: 1\n", 1),
+            (["lp", "solve"], f"1 1\nc: {LONG}\nA: 1\nb: 1\n", 2),
+            (["nlp", "penalty"], f"n {LONG}\nf: 1\n", 1),
+        ],
+        ids=["lp-header", "lp-entry", "nlp-dimension"],
+    )
+    def test_file_literal(self, tmp_path, capsys, command, text, line):
+        path = tmp_path / "long.txt"
+        path.write_text(text)
+        assert run(command + [str(path)]) == (65, "")
+        assert capsys.readouterr().err == f"parse error: line {line}: {OVER_LIMIT}\n"
+
+    @needs_digit_limit
+    def test_random_size(self, capsys):
+        assert run(["lp", "solve", f"random:{LONG}x8", "--seed", "1"]) == (64, "")
+        assert capsys.readouterr().err == f"usage error: {OVER_LIMIT}\n"
+
+    @needs_digit_limit
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            (["gross", "eval", "2^20000"], None),
+            (["nlp", "penalty"], "n 1\nf: 123456789123456789^600*x1^2 - x1\n"),
+        ],
+        ids=["gross-eval", "nlp-penalty"],
+    )
+    def test_unprintable_result(self, tmp_path, capsys, command, text):
+        if text is not None:
+            path = tmp_path / "huge.nlp"
+            path.write_text(text)
+            command = command + [str(path)]
+        assert run(command) == (5, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: result too long to print: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [(["gross", "eval", "2\u00b2"], None), (["lp", "solve"], "1 \u00b2\n"), (["nlp", "penalty"], "n \u00b2\n")],
+        ids=["gross-eval", "lp-header", "nlp-dimension"],
+    )
+    def test_non_decimal_digit_is_a_parse_error(self, tmp_path, capsys, command, text):
+        # A superscript two passes str.isdigit but not int().
+        if text is not None:
+            path = tmp_path / "superscript.txt"
+            path.write_text(text, encoding="utf-8")
+            command = command + [str(path)]
+        assert run(command) == (65, "")
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
 class TestUsage:

@@ -5,7 +5,7 @@ import pytest
 
 import grossone.penalty
 from grossone.arith import ArithConfig, GROSSONE, GrossNumber, as_gross
-from grossone.linalg import GrossMatrix, GrossVector, SingularMatrixError
+from grossone.linalg import SingularMatrixError
 from grossone.penalty import (
     InfeasibleStationaryError,
     NewtonDivergenceError,
@@ -92,32 +92,32 @@ class TestPenaltyGradient:
     def test_equality_example_at_generic_point(self, quadratic_equality, systems):
         stationary_solve(quadratic_equality, PenaltyConfig(start=(F(2), F(3))))
         # (x1 + G*(x1+x2-1), x2/3 + G*(x1+x2-1)) at (2, 3)
-        gradient = GrossVector([GrossNumber([(1, 4), (0, 2)]), GrossNumber([(1, 4), (0, 1)])])
-        assert systems[0][1] == -gradient
+        gradient = [GrossNumber([(1, 4), (0, 2)]), GrossNumber([(1, 4), (0, 1)])]
+        assert systems[0][1] == [-entry for entry in gradient]
 
     def test_inactive_inequality_contributes_nothing(self, linear_bound, systems):
         # Only f = x1 remains, whose Hessian is zero: the system is singular.
         with pytest.raises(SingularMatrixError):
             stationary_solve(linear_bound, PenaltyConfig(start=(F(2),)))
-        assert systems[0][1] == -GrossVector([1])
+        assert systems[0][1] == [as_gross(-1)]
 
     def test_active_inequality_below_bound(self, linear_bound, systems):
         stationary_solve(linear_bound, PenaltyConfig(start=(F(1, 2),)))
         # 1 - G*(1 - x) at x = 1/2
-        assert systems[0][1] == -GrossVector([GrossNumber([(1, F(-1, 2)), (0, 1)])])
+        assert systems[0][1] == [-GrossNumber([(1, F(-1, 2)), (0, 1)])]
 
     def test_zero_at_feasible_unconstrained_minimum(self, systems):
         problem = parse_nlp("n 2\nf: 7\nh: x1 + x2 - 1")
         start = (F(1, 2), F(1, 2))
-        assert stationary_solve(problem, PenaltyConfig(start=start)) == GrossVector(start)
+        assert stationary_solve(problem, PenaltyConfig(start=start)) == tuple(map(as_gross, start))
         assert systems == []
 
     def test_activity_uses_full_gross_sign(self, linear_bound, systems):
         # g = G^-1 > 0 counts as active even though its finite part is zero.
-        xstar = GrossVector([GrossNumber([(0, 1), (-1, -1)])])
+        xstar = (GrossNumber([(0, 1), (-1, -1)]),)
         value = eval_gross(linear_bound.inequalities[0], xstar)
         assert value.finite_part() == 0 and value.sign() > 0
-        assert stationary_solve(linear_bound, PenaltyConfig(start=tuple(xstar))) == xstar
+        assert stationary_solve(linear_bound, PenaltyConfig(start=xstar)) == xstar
         assert systems == []
 
 
@@ -201,11 +201,16 @@ class TestExtractCertificate:
 
     def test_positivity_violation_raises(self, linear_bound):
         with pytest.raises(InfeasibleStationaryError):
-            extract_certificate(linear_bound, GrossVector([0]))
+            extract_certificate(linear_bound, [0])
 
     def test_rejects_infinite_entries(self, linear_bound):
         with pytest.raises(ValueError):
-            extract_certificate(linear_bound, GrossVector([G]))
+            extract_certificate(linear_bound, [G])
+
+    def test_accepts_plain_ints_and_fractions(self, quadratic_equality):
+        certificate = extract_certificate(quadratic_equality, [0, F(1, 2)])
+        assert certificate == extract_certificate(quadratic_equality, (as_gross(0), as_gross(F(1, 2))))
+        assert certificate.x0 == (F(0), F(1, 2))
 
     def test_multiplier_identity_on_feasible_series(self, quadratic_equality):
         # finite_part(G * h(x)) equals coefficient(h(x), -1) on points whose
@@ -216,10 +221,10 @@ class TestExtractCertificate:
             a = F(rng.randint(-20, 20), rng.randint(1, 9))
             t = F(rng.randint(-20, 20), rng.randint(1, 9))
             s = F(rng.randint(-20, 20), rng.randint(1, 9))
-            point = GrossVector([
+            point = (
                 GrossNumber([(0, a), (-1, t)]),
                 GrossNumber([(0, 1 - a), (-1, s)]),
-            ])
+            )
             value = eval_gross(h, point)
             assert value.finite_part() == 0
             assert (G * value).finite_part() == value.coefficient(-1) == t + s
@@ -401,13 +406,13 @@ class TestNewtonSystemReference:
             stopped = True
         except NewtonDivergenceError:
             stopped = False
-        x = GrossVector(start)
+        x = tuple(map(as_gross, start))
         for jacobian, rhs, step in systems:
             gradient, expected_jacobian = newton_system(problem, x, weight)
             assert not settled(gradient)
-            assert jacobian == GrossMatrix(expected_jacobian)
-            assert rhs == GrossVector([-entry for entry in gradient])
-            x = x + step
+            assert jacobian == expected_jacobian
+            assert rhs == [-entry for entry in gradient]
+            x = tuple(a + b for a, b in zip(x, step))
         assert settled(newton_system(problem, x, weight)[0]) == stopped
 
     @pytest.mark.parametrize("seed", range(4))
