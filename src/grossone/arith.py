@@ -29,17 +29,23 @@ term of the series power left out; ``a'_L`` is the quotient's leading digit
 and ``r_{-1}`` the digit of ``r`` at ``G^-1``, 0 if absent), so
 ``(1 + G^-1) / (1 + G^-1)`` is ``1 - G^-8`` at K = 8.  The residual
 ``a - (a/b)*b`` has leading grosspower at most ``leading(a) - K``, and the
-quotient is exact whenever ``b`` is a single term.
+quotient is exact whenever ``b`` is a single term.  ``divide`` and ``power``
+take K explicitly; there is no ``/`` or ``**`` operator to truncate silently.
 
 Ordering is total: a nonzero gross-number takes the sign of its
 highest-grosspower digit, and ``a < b`` means ``sign(a - b) < 0``.  Comparison
 walks the two term tuples and stops at the first grosspower where they
 differ, without forming ``a - b``.
+
+The text readers live here too: canonical gross-number text, and the
+expression grammar (``_ExpressionReader``, parentheses at most 100 deep)
+that ``polyexpr`` and the ``gross eval`` calculator share.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,10 +91,41 @@ def _decimal_int(digits: str) -> int:
     return int(digits)
 
 
+def _over_str_limit(value) -> bool:
+    """Whether the int or Fraction ``value`` holds an int that may have more
+    decimal digits than ``_str_digit_limit``: one of b bits has at most
+    floor(b log10 2) + 1, bounded here from the bit length alone."""
+    limit = _str_digit_limit()
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    return 0 < limit <= bits * 30103 // 100000
+
+
+def _content_lines(text: str):
+    """``(line number from 1, stripped content)`` for each line of an input
+    file that holds more than whitespace and a '#' comment."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            yield line_no, stripped
+
+
+def _square_and_multiply(base, exponent: int, one, multiply):
+    """``base`` to the power ``exponent >= 0`` in O(log exponent) calls of
+    ``multiply``, starting from ``one``; exact whenever ``multiply`` is."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = multiply(result, base)
+        exponent >>= 1
+        if exponent:
+            base = multiply(base, base)
+    return result
+
+
 class _Scanner:
     """Cursor shared by the recursive-descent readers: gross-number text
-    here, polynomial expressions in ``polyexpr`` and the ``gross eval``
-    calculator in ``cli``.  Errors carry the current position."""
+    here, and the expression grammar of ``_ExpressionReader``.  Errors carry
+    the current position."""
 
     def __init__(self, text: str):
         self.text = text
@@ -145,6 +182,75 @@ class _Scanner:
                 raise self.error("zero denominator")
             return Fraction(numerator, denominator)
         return Fraction(numerator)
+
+
+# Parentheses nest at most this deep in an expression.  A level costs four
+# Python frames, well inside the default recursion limit of 1000.
+_MAX_NESTING = 100
+
+
+class _ExpressionReader(_Scanner):
+    """Recursive-descent reader for the expression grammar shared by the
+    polynomials of ``polyexpr`` and the ``gross eval`` calculator in ``cli``:
+
+        expr   := term (('+'|'-') term)*     term := factor (op factor)*
+        factor := ['-'] atom ['^' exponent]  atom := '(' expr ')' | leaf
+
+    with whitespace allowed between tokens.  A subclass gives ``read_leaf``,
+    ``read_exponent``, ``term_operators`` ({op: function of two values}),
+    ``add``, ``negate`` and ``power``.  Parentheses nested deeper than
+    ``_MAX_NESTING`` levels are a ParseError at the first '(' too many."""
+
+    read_exponent = _Scanner.read_uint
+    depth = 0
+
+    def read_atom(self):
+        self.skip_ws()
+        if self.peek() != "(":
+            return self.read_leaf()
+        if self.depth == _MAX_NESTING:
+            raise self.error(f"parentheses nested deeper than {_MAX_NESTING} levels")
+        self.depth += 1
+        self.pos += 1
+        inner = self.read_expr()
+        self.skip_ws()
+        self.expect(")")
+        self.depth -= 1
+        return inner
+
+    def read_factor(self):
+        self.skip_ws()
+        negative = self.peek() == "-"
+        if negative:
+            self.pos += 1
+        value = self.read_atom()
+        self.skip_ws()
+        if self.peek() == "^":
+            self.pos += 1
+            self.skip_ws()
+            value = self.power(value, self.read_exponent())
+        return self.negate(value) if negative else value
+
+    def read_term(self):
+        value = self.read_factor()
+        while True:
+            self.skip_ws()
+            op = self.peek()
+            if op not in self.term_operators:
+                return value
+            self.pos += 1
+            value = self.term_operators[op](value, self.read_factor())
+
+    def read_expr(self):
+        value = self.read_term()
+        while True:
+            self.skip_ws()
+            op = self.peek()
+            if op not in ("+", "-"):
+                return value
+            self.pos += 1
+            rhs = self.read_term()
+            value = self.add(value, self.negate(rhs) if op == "-" else rhs)
 
 
 @dataclass(frozen=True)
@@ -312,40 +418,14 @@ class GrossNumber:
             _series_quotient(self._terms, other._terms, config.truncation_order)
         )
 
-    def __truediv__(self, other) -> "GrossNumber":
-        other = _coerce_operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.divide(other)
-
-    def __rtruediv__(self, other) -> "GrossNumber":
-        other = _coerce_operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.divide(self)
-
     def power(self, exponent: int, config: ArithConfig = DEFAULT_CONFIG) -> "GrossNumber":
-        """Integer power by square-and-multiply; G^0 = 1 by the n = 0 case.
-
-        Products are exact, so the result equals repeated multiplication in
-        O(log n) multiplications.
-        """
+        """Integer power: exact square-and-multiply for n >= 0 (x^0 = 1), and
+        ``ONE.divide(x^-n, config)`` for n < 0."""
         if isinstance(exponent, bool) or not isinstance(exponent, int):
             raise TypeError("exponent must be an integer")
         if exponent < 0:
             return ONE.divide(self.power(-exponent), config)
-        result = ONE
-        square = self
-        while exponent:
-            if exponent & 1:
-                result = result * square
-            exponent >>= 1
-            if exponent:
-                square = square * square
-        return result
-
-    def __pow__(self, exponent: int) -> "GrossNumber":
-        return self.power(exponent)
+        return _square_and_multiply(self, exponent, ONE, operator.mul)
 
     # -- ordering -------------------------------------------------------------
 
@@ -547,7 +627,7 @@ class _TextReader(_Scanner):
     A bare 'G' carries digit 1; a missing 'G' means grosspower 0.
     """
 
-    def read_term(self) -> Tuple[int, Fraction]:
+    def read_gross_term(self) -> Tuple[int, Fraction]:
         sign = 1
         if self.peek() in ("+", "-"):
             if self.text[self.pos] == "-":
@@ -571,7 +651,7 @@ class _TextReader(_Scanner):
 
     def read_number(self) -> GrossNumber:
         self.skip_ws()
-        terms = [self.read_term()]
+        terms = [self.read_gross_term()]
         while True:
             self.skip_ws()
             if self.pos >= len(self.text):
@@ -581,7 +661,7 @@ class _TextReader(_Scanner):
                 raise self.error("expected '+' or '-'")
             self.pos += 1
             self.skip_ws()
-            power, digit = self.read_term()
+            power, digit = self.read_gross_term()
             terms.append((power, -digit if separator == "-" else digit))
         return GrossNumber(terms)
 

@@ -4,13 +4,15 @@ Subcommands: ``lp solve``, ``lp compare``, ``nlp penalty``, ``gross eval``.
 Reports print exact rationals only (never decimals) so outputs are stable
 byte for byte.  Exit codes: 0 optimal/verified/identical, 1 infeasible,
 2 unbounded, 3 cycle detected, 4 iteration limit, 5 solver failure or a
-result too long to print, 6 KKT not verified, 64 usage error, 65 parse
-error.
+result too long to print, 6 KKT not verified, 64 usage error (such as a
+random:<m>x<n> size with m*n over 10^6), 65 parse error (such as
+parentheses nested deeper than 100 levels).
 """
 
 from __future__ import annotations
 
 import argparse
+import operator
 import random
 import re
 import sys
@@ -18,7 +20,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .arith import (
-    ArithConfig, GROSSONE, GrossNumber, ParseError, _Scanner, _decimal_int, _str_digit_limit,
+    ArithConfig, GROSSONE, GrossNumber, ParseError, _ExpressionReader, _decimal_int,
+    _over_str_limit, _str_digit_limit,
 )
 from .penalty import (
     InfeasibleStationaryError,
@@ -67,6 +70,10 @@ _RANDOM_SPEC = re.compile(r"^random:(\d+)x(\d+)$")
 # A division to K levels makes about K^2 digit updates on integers of about
 # K words; at this bound a three-term divisor still takes well under a second.
 _MAX_TRUNC = 1000
+
+# The most matrix entries a random:<m>x<n> instance may have, checked before
+# anything is generated; the largest size in the tests is 24x48.
+_MAX_RANDOM_ENTRIES = 10**6
 
 
 class _UsageError(Exception):
@@ -134,20 +141,16 @@ def _check_counts(args) -> None:
 def _check_printable(values) -> None:
     """Raise _UnprintableError unless every int in ``values`` (ints,
     Fractions and gross-numbers, whose grosspowers and digits are read) fits
-    ``_str_digit_limit``.  An int of b bits has at most floor(b log10 2) + 1
-    decimal digits, bounded here from the bit length alone."""
-    limit = _str_digit_limit()
-    if not limit:
-        return
+    ``_str_digit_limit`` (``_over_str_limit``)."""
     for value in values:
         if isinstance(value, GrossNumber):
             _check_printable([number for term in value.terms for number in term])
             continue
         for number in (value.numerator, value.denominator):
-            if number.bit_length() * 30103 // 100000 >= limit:
+            if _over_str_limit(number):
                 raise _UnprintableError(
                     f"result too long to print: an integer of {number.bit_length()} bits "
-                    f"is over the {limit}-digit limit"
+                    f"is over the {_str_digit_limit()}-digit limit"
                 )
 
 
@@ -173,6 +176,8 @@ def _load_lp(args) -> tuple[LpStandardForm, random.Random | None]:
             raise _UsageError("random:<m>x<n> inputs require --seed")
         try:
             m, n = _decimal_int(match.group(1)), _decimal_int(match.group(2))
+            if m * n > _MAX_RANDOM_ENTRIES:
+                raise ValueError(f"random:<m>x<n> needs m*n at most {_MAX_RANDOM_ENTRIES}")
             return random_degenerate_lp(rng, m, n), rng
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
@@ -279,26 +284,21 @@ def cmd_nlp_penalty(args, out) -> int:
     return EXIT_KKT_UNVERIFIED
 
 
-class _GrossExprReader(_Scanner):
-    """Calculator grammar over gross-number atoms.
+class _GrossExprReader(_ExpressionReader):
+    """The calculator: ``arith._ExpressionReader`` over gross-numbers, with
+    leaves uint and 'G', term operators '*' and '/', and an int exponent."""
 
-    expr := term (('+'|'-') term)*     term := factor (('*'|'/') factor)*
-    factor := ['-'] atom ['^' int]     atom := uint | 'G' | '(' expr ')'
-    """
+    add = staticmethod(operator.add)
+    negate = staticmethod(operator.neg)
+    read_exponent = _ExpressionReader.read_int
 
     def __init__(self, text: str, config: ArithConfig):
         super().__init__(text)
         self.config = config
+        self.term_operators = {"*": operator.mul, "/": lambda a, b: a.divide(b, config)}
 
-    def read_atom(self) -> GrossNumber:
-        self.skip_ws()
+    def read_leaf(self) -> GrossNumber:
         ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            inner = self.read_expr()
-            self.skip_ws()
-            self.expect(")")
-            return inner
         if ch == "G":
             self.pos += 1
             return GROSSONE
@@ -306,44 +306,8 @@ class _GrossExprReader(_Scanner):
             return GrossNumber([(0, self.read_uint())])
         raise self.error("expected a number, 'G', or '('")
 
-    def read_factor(self) -> GrossNumber:
-        self.skip_ws()
-        negate = False
-        if self.peek() == "-":
-            negate = True
-            self.pos += 1
-        value = self.read_atom()
-        self.skip_ws()
-        if self.peek() == "^":
-            self.pos += 1
-            self.skip_ws()
-            value = value.power(self.read_int(), self.config)
-        return -value if negate else value
-
-    def read_term(self) -> GrossNumber:
-        value = self.read_factor()
-        while True:
-            self.skip_ws()
-            op = self.peek()
-            if op == "*":
-                self.pos += 1
-                value = value * self.read_factor()
-            elif op == "/":
-                self.pos += 1
-                value = value.divide(self.read_factor(), self.config)
-            else:
-                return value
-
-    def read_expr(self) -> GrossNumber:
-        value = self.read_term()
-        while True:
-            self.skip_ws()
-            op = self.peek()
-            if op not in ("+", "-"):
-                return value
-            self.pos += 1
-            rhs = self.read_term()
-            value = value - rhs if op == "-" else value + rhs
+    def power(self, base: GrossNumber, exponent: int) -> GrossNumber:
+        return base.power(exponent, self.config)
 
     def read_all(self) -> GrossNumber:
         value = self.read_expr()

@@ -38,7 +38,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .arith import (
-    ArithConfig, DEFAULT_CONFIG, GROSSONE, GrossNumber, Scalar, ZERO, _decimal_int, as_gross,
+    ArithConfig, DEFAULT_CONFIG, GROSSONE, GrossNumber, Scalar, ZERO, _content_lines,
+    _decimal_int, _over_str_limit, as_gross,
 )
 from .linalg import SingularMatrixError, rational_rank, solve_linear
 from .polyexpr import (
@@ -328,9 +329,10 @@ def extract_certificate(problem: NlpProblem, xstar: Sequence[Scalar]) -> KktCert
         value = eval_gross(g, xstar)
         order_zero = Fraction(value.finite_part())
         if order_zero > 0:
+            shown = "too long to print" if _over_str_limit(order_zero) else order_zero
             raise InfeasibleStationaryError(
                 f"inequality {position} is positive at order zero "
-                f"(value {order_zero}); not a feasible stationary point"
+                f"(value {shown}); not a feasible stationary point"
             )
         if order_zero < 0:
             mu.append(Fraction(0))
@@ -452,10 +454,7 @@ def parse_nlp(text: str) -> NlpProblem:
     objective = None
     inequalities: List[PolyExpr] = []
     equalities: List[PolyExpr] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+    for line_no, stripped in _content_lines(text):
         if dimension is None:
             parts = stripped.split()
             if len(parts) != 2 or parts[0] != "n" or not parts[1].isdecimal():

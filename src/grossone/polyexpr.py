@@ -15,6 +15,9 @@ Grammar (variables are x1..xn):
     term   := factor ('*' factor)*
     factor := ['-'] atom ['^' uint]
     atom   := rational | 'x' uint | '(' expr ')'
+
+The reader is ``arith._ExpressionReader``, which the ``gross eval``
+calculator shares; parentheses nest at most 100 levels deep.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple, Union
 
-from .arith import ZERO, GrossNumber, Scalar, _Scanner, as_gross
+from .arith import (
+    ZERO, GrossNumber, Scalar, _ExpressionReader, _square_and_multiply, as_gross,
+)
 
 __all__ = [
     "PolyExpr",
@@ -57,18 +62,6 @@ def _mul(a: PolyExpr, b: PolyExpr) -> PolyExpr:
             monomial = tuple(i + j for i, j in zip(ma, mb))
             result[monomial] = result.get(monomial, 0) + ca * cb
     return {m: c for m, c in result.items() if c}
-
-
-def _power(base: PolyExpr, exponent: int, one: PolyExpr) -> PolyExpr:
-    """Square-and-multiply, so a huge exponent of one monomial stays cheap."""
-    result = one
-    while exponent:
-        if exponent & 1:
-            result = _mul(result, base)
-        exponent >>= 1
-        if exponent:
-            base = _mul(base, base)
-    return result
 
 
 def differentiate(expr: PolyExpr, var_index: int) -> PolyExpr:
@@ -106,23 +99,20 @@ def eval_gross(expr: PolyExpr, point: Sequence[Scalar]) -> GrossNumber:
     return total
 
 
-class _ExprReader(_Scanner):
-    """Recursive-descent reader for the expression grammar above."""
+class _ExprReader(_ExpressionReader):
+    """The expression grammar above over sparse polynomials."""
+
+    term_operators = {"*": _mul}
+    add = staticmethod(_add)
+    negate = staticmethod(_neg)
 
     def __init__(self, text: str, dimension: int):
         super().__init__(text)
         self.dimension = dimension
         self.one: PolyExpr = {(0,) * dimension: Fraction(1)}
 
-    def read_atom(self) -> PolyExpr:
-        self.skip_ws()
+    def read_leaf(self) -> PolyExpr:
         ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            inner = self.read_expr()
-            self.skip_ws()
-            self.expect(")")
-            return inner
         if ch == "x":
             self.pos += 1
             mark = self.pos
@@ -140,39 +130,8 @@ class _ExprReader(_Scanner):
             return {(0,) * self.dimension: value} if value else {}
         raise self.error("expected a rational, a variable, or '('")
 
-    def read_factor(self) -> PolyExpr:
-        self.skip_ws()
-        negate = False
-        if self.peek() == "-":
-            negate = True
-            self.pos += 1
-        atom = self.read_atom()
-        self.skip_ws()
-        if self.peek() == "^":
-            self.pos += 1
-            self.skip_ws()
-            atom = _power(atom, self.read_uint(), self.one)
-        return _neg(atom) if negate else atom
-
-    def read_term(self) -> PolyExpr:
-        result = self.read_factor()
-        while True:
-            self.skip_ws()
-            if self.peek() != "*":
-                return result
-            self.pos += 1
-            result = _mul(result, self.read_factor())
-
-    def read_expr(self) -> PolyExpr:
-        result = self.read_term()
-        while True:
-            self.skip_ws()
-            op = self.peek()
-            if op not in ("+", "-"):
-                return result
-            self.pos += 1
-            rhs = self.read_term()
-            result = _add(result, _neg(rhs) if op == "-" else rhs)
+    def power(self, base: PolyExpr, exponent: int) -> PolyExpr:
+        return _square_and_multiply(base, exponent, self.one, _mul)
 
 
 def parse_expr(text: str, dimension: int) -> PolyExpr:

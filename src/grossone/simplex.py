@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .arith import GrossNumber, _decimal_int
+from .arith import GrossNumber, _content_lines, _decimal_int
 from .linalg import (
     SingularMatrixError,
     _as_fraction,
@@ -704,11 +704,7 @@ def parse_lp(text: str) -> LpStandardForm:
     rationals each, and one line "b:" with m rationals.  '#' starts a
     comment; blank lines are ignored.
     """
-    lines = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((line_no, stripped))
+    lines = list(_content_lines(text))
     if not lines:
         raise LpFormatError("empty LP instance")
 

@@ -23,6 +23,11 @@ def matvec(matrix: Sequence[Sequence], vector: Sequence) -> Tuple[GrossNumber, .
     return tuple(sum((matrix[i][j] * vector[j] for j in range(n)), ZERO) for i in range(m))
 
 
+def nested(levels: int, atom: str) -> str:
+    """``atom`` inside ``levels`` pairs of parentheses."""
+    return "(" * levels + atom + ")" * levels
+
+
 def random_fraction(rng: random.Random, bound: int = 100) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 

@@ -18,7 +18,7 @@ from grossone.arith import (
 from grossone.cli import _GrossExprReader
 from grossone.polyexpr import parse_expr
 
-from helpers import random_gross
+from helpers import nested, random_gross
 
 F = Fraction
 G = GROSSONE
@@ -232,6 +232,13 @@ class TestPower:
         assert G.power(-1) == GINV
         assert (2 * G).power(-1) == GrossNumber([(-1, F(1, 2))])
 
+    def test_no_division_or_power_operators(self):
+        # divide and power take the truncation order explicitly; an operator
+        # would truncate silently at the default.
+        for operation in (lambda: G / 2, lambda: 2 / G, lambda: G ** 2):
+            with pytest.raises(TypeError):
+                operation()
+
 
 class TestFieldIdentities:
     @given(a=gross_numbers)
@@ -301,6 +308,18 @@ class TestScanner:
             ("calc", "G G", "unexpected trailing input at position 2: 'G'"),
             ("calc", "2^x", "expected an unsigned integer at position 2: 'x'"),
             ("calc", "G +", "expected a number, 'G', or '(' at position 3: '<end of input>'"),
+            pytest.param("poly", nested(100, "x1"), None, id="poly-nesting-100"),
+            pytest.param(
+                "poly", nested(101, "x1"),
+                "parentheses nested deeper than 100 levels at position 100: '(x1)))))))))'",
+                id="poly-nesting-101",
+            ),
+            pytest.param("calc", nested(100, "G"), None, id="calc-nesting-100"),
+            pytest.param(
+                "calc", nested(101, "G"),
+                "parentheses nested deeper than 100 levels at position 100: '(G))))))))))'",
+                id="calc-nesting-101",
+            ),
         ],
     )
     def test_messages_and_positions(self, reader, text, message):
@@ -309,6 +328,9 @@ class TestScanner:
             "poly": lambda t: parse_expr(t, 2),
             "calc": lambda t: _GrossExprReader(t, DEFAULT_CONFIG).read_all(),
         }[reader]
+        if message is None:  # the text parses
+            read(text)
+            return
         with pytest.raises(ParseError) as info:
             read(text)
         assert str(info.value) == message

@@ -7,7 +7,7 @@ import pytest
 from grossone import simplex
 from grossone.cli import main
 
-from helpers import DATA_DIR, INSTANCE_DIR
+from helpers import DATA_DIR, INSTANCE_DIR, nested
 
 BEALE = str(INSTANCE_DIR / "beale.lp")
 QUADRATIC = str(INSTANCE_DIR / "quadratic_equality.nlp")
@@ -25,6 +25,9 @@ def run(args):
     buffer = io.StringIO()
     code = main(args, out=buffer)
     return code, buffer.getvalue()
+
+
+NESTING_ERROR = "parentheses nested deeper than 100 levels at position 100: '(((((((((((('"
 
 
 class TestGrossEval:
@@ -71,6 +74,11 @@ class TestGrossEval:
     def test_arith_flag_is_a_usage_error(self):
         code, out = run(["gross", "eval", "G / (1 + 4*G)", "--arith", "rational"])
         assert (code, out) == (64, "")
+
+    def test_deep_nesting_is_a_parse_error(self, capsys):
+        # 246 levels once overflowed the interpreter's recursion limit.
+        assert run(["gross", "eval", nested(246, "G")]) == (65, "")
+        assert capsys.readouterr().err == f"parse error: {NESTING_ERROR}\n"
 
 
 class TestLpSolve:
@@ -163,6 +171,18 @@ class TestLpSolve:
         assert code == 4
         assert "status: iteration_limit" in out
 
+    @pytest.mark.parametrize(
+        "size", ["1x" + "9" * 4000, "1x100000000", "1000x100000"], ids=["4000-digits", "1e8", "1e3x1e5"]
+    )
+    def test_random_size_over_entry_limit_is_a_usage_error(self, capsys, size):
+        start = time.perf_counter()
+        assert run(["lp", "solve", f"random:{size}", "--seed", "1"]) == (64, "")
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert time.perf_counter() - start < 5
+        if not 0 < DIGIT_LIMIT < len(size):  # past the digit limit the message names it
+            assert err == "usage error: random:<m>x<n> needs m*n at most 1000000\n"
+
 
 class TestLpSolverFailures:
     """Broken simplex invariants exit 5 with one line naming the phase or
@@ -229,6 +249,30 @@ class TestLpCompare:
     def test_random_rejects_bad_sizes(self):
         code, _ = run(["lp", "compare", "random:4x2", "--seed", "1"])
         assert code == 64
+
+    def test_divergent_leaving_row(self, monkeypatch):
+        # At Beale's first pivot (x1 enters) rows 0 and 1 both have a
+        # positive direction entry; the rule picks row 1 (x6 leaves).  The
+        # patched oracle picks row 0 (x5) there and agrees afterwards.
+        original = simplex.ratio_test_lexicographic
+        calls = []
+
+        def first_call_takes_row_0(*args):
+            calls.append(args)
+            return 0 if len(calls) == 1 else original(*args)
+
+        monkeypatch.setattr(simplex, "ratio_test_lexicographic", first_call_takes_row_0)
+        assert run(["lp", "compare", BEALE]) == (
+            1, "DIVERGENT at iter=1: grossone enter=1 leave=6 vs lexicographic enter=1 leave=5\n"
+        )
+
+    def test_divergent_outcome(self, monkeypatch):
+        monkeypatch.setattr(simplex, "ratio_test_lexicographic", lambda *args: None)
+        assert run(["lp", "compare", BEALE]) == (
+            1,
+            "DIVERGENT outcome: grossone optimal after 2 pivots vs "
+            "lexicographic unbounded after 0 pivots\n",
+        )
 
 
 class TestNlpPenalty:
@@ -322,6 +366,35 @@ class TestNlpPenalty:
         path.write_text("n 1\nf: x2\n")
         code, _ = run(["nlp", "penalty", str(path)])
         assert code == 65
+
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys):
+        # 247 levels once overflowed the interpreter's recursion limit.
+        path = tmp_path / "deep.nlp"
+        path.write_text(f"n 1\nf: {nested(247, 'x1')}\n")
+        assert run(["nlp", "penalty", str(path)]) == (65, "")
+        assert capsys.readouterr().err == f"parse error: line 2: {NESTING_ERROR}\n"
+
+    @needs_digit_limit
+    def test_unprintable_infeasible_value_exit(self, tmp_path, capsys):
+        path = tmp_path / "huge.nlp"
+        path.write_text("n 1\nf: x1^2\ng: 10^5000\n")
+        assert run(["nlp", "penalty", str(path)]) == (5, "")
+        assert capsys.readouterr().err == (
+            "error: inequality 0 is positive at order zero (value too long to print); "
+            "not a feasible stationary point\n"
+        )
+
+    def test_negative_lifted_multiplier_is_clipped_to_zero(self, tmp_path):
+        # G*g(x*) = -1 at order zero: the inequality multiplier is
+        # max{0, -1} = 0, not |-1|.
+        path = tmp_path / "negative.nlp"
+        path.write_text("n 1\nf: x1\ng: x1 - 1\nh: x1 - 1\n")
+        code, out = run(["nlp", "penalty", str(path)])
+        assert code == 0
+        assert out.splitlines()[:4] == [
+            "stationary point:", "  x1 = 1 - G^-1", "x0 = (1)", "mu = (0)",
+        ]
+        assert "pi = (-1)\n" in out and out.endswith("KKT VERIFIED\n")
 
     def test_zero_dimension_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "empty.nlp"
