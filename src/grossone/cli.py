@@ -6,7 +6,8 @@ byte for byte.  Exit codes: 0 optimal/verified/identical, 1 infeasible,
 2 unbounded, 3 cycle detected, 4 iteration limit, 5 solver failure or a
 result too long to print, 6 KKT not verified, 64 usage error (such as a
 random:<m>x<n> size with m*n over 10^6), 65 parse error (such as
-parentheses nested deeper than 100 levels).
+parentheses nested deeper than 100 levels, a power of a multi-term base
+with more than 500 terms, or an NLP file with n over 400).
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="grossone", description=__doc__)
+    parser = _Parser(prog="grossone", description=__doc__.replace("``", ""))
     top = parser.add_subparsers(dest="group", required=True)
 
     lp = top.add_parser("lp", help="linear programming")
@@ -308,6 +309,14 @@ class _GrossExprReader(_ExpressionReader):
 
     def power(self, base: GrossNumber, exponent: int) -> GrossNumber:
         return base.power(exponent, self.config)
+
+    @staticmethod
+    def power_terms(base: GrossNumber, exponent: int) -> int:
+        # The levels from |e| times the top grosspower down to |e| times the
+        # lowest; a negative power divides one by the positive one.
+        if len(base.terms) < 2:
+            return 1
+        return abs(exponent) * (base.leading_power - base.terms[-1][0]) + 1
 
     def read_all(self) -> GrossNumber:
         value = self.read_expr()

@@ -1,10 +1,11 @@
 """Exact linear solvers over gross-numbers and over the rationals.
 
-One fraction-free (Bareiss) Gauss-Jordan elimination serves every solve.
-It runs on rows scaled by the lcm of their denominators, so that every entry
-lies in an integral domain and every division in it is exact: the integers
-for rational matrices, Laurent polynomials in G with integer coefficients
-for gross-number ones.
+This module holds the solvers only.  One fraction-free (Bareiss)
+Gauss-Jordan elimination serves every solve.  It runs on rows scaled by the
+lcm of their denominators, so that every entry lies in an integral domain
+and every division in it is exact: the integers for rational matrices, and
+for gross-number ones ``arith._IntPoly``, Laurent polynomials in G with
+integer coefficients, whose division ``arith`` owns.
 
 solve_linear eliminates a gross-number system, given as plain sequences,
 exactly, then makes one division per unknown and returns a tuple.  A
@@ -27,7 +28,7 @@ import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .arith import ArithConfig, DEFAULT_CONFIG, GrossNumber, Scalar, ZERO, as_gross
+from .arith import ArithConfig, DEFAULT_CONFIG, GrossNumber, Scalar, _IntPoly, as_gross
 
 __all__ = [
     "SingularMatrixError",
@@ -72,7 +73,10 @@ def solve_linear(
         raise ValueError(f"matrix must be square, got {n}x{width}")
     if len(rhs) != n:
         raise ValueError(f"shape mismatch: matrix is {n}x{n}, rhs has length {len(rhs)}")
-    rows = [_poly_row([as_gross(e) for e in row] + [as_gross(b)]) for row, b in zip(matrix, rhs)]
+    rows = [
+        _IntPoly.scaled([as_gross(e).terms for e in row] + [as_gross(b).terms])[1]
+        for row, b in zip(matrix, rhs)
+    ]
     rank, d = _bareiss_gauss_jordan(rows, n)
     if rank < n:
         # Pivot rows keep their order, so the first pivotless column is the
@@ -86,132 +90,6 @@ def solve_linear(
             quotient = row[n].gross().divide(d.gross(), config)
         solution.append(quotient)
     return tuple(solution)
-
-
-class _IntPoly:
-    """Laurent polynomial ``sum_k coeffs[k] * G^(low + k)`` with int
-    coefficients, stored dense from its lowest grosspower; the first and last
-    coefficients are nonzero and zero has none.  It has what
-    ``_bareiss_gauss_jordan`` uses: ``*``, ``-``, unary ``-``, exact ``//``,
-    truth and the sign test ``< 0``, which reads the highest-grosspower
-    coefficient as a gross-number's sign does."""
-
-    __slots__ = ("low", "coeffs")
-
-    def __init__(self, low: int, coeffs: List[int]):
-        self.low = low
-        self.coeffs = coeffs
-
-    @classmethod
-    def _trimmed(cls, low: int, coeffs: List[int]) -> "_IntPoly":
-        end = len(coeffs)
-        while end and not coeffs[end - 1]:
-            end -= 1
-        start = 0
-        while start < end and not coeffs[start]:
-            start += 1
-        return cls(low + start, coeffs[start:end])
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __lt__(self, zero) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] < 0
-
-    def __neg__(self) -> "_IntPoly":
-        return _IntPoly(self.low, [-c for c in self.coeffs])
-
-    def __mul__(self, other: "_IntPoly") -> "_IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _IntPoly(0, [])
-        out = [0] * (len(a) + len(b) - 1)
-        width = len(b)
-        for i, x in enumerate(a):
-            if x:
-                out[i:i + width] = [o + x * y for o, y in zip(out[i:i + width], b)]
-        # The end coefficients are products of nonzero ints, so nonzero.
-        return _IntPoly(self.low + other.low, out)
-
-    def __sub__(self, other: "_IntPoly") -> "_IntPoly":
-        if not other.coeffs:
-            return self
-        if not self.coeffs:
-            return -other
-        low = min(self.low, other.low)
-        out = [0] * (max(self.low + len(self.coeffs), other.low + len(other.coeffs)) - low)
-        start = self.low - low
-        out[start:start + len(self.coeffs)] = self.coeffs
-        start = other.low - low
-        end = start + len(other.coeffs)
-        out[start:end] = [o - c for o, c in zip(out[start:end], other.coeffs)]
-        return _IntPoly._trimmed(low, out)
-
-    def __floordiv__(self, other) -> "_IntPoly":
-        """Exact quotient; the elimination guarantees that one exists."""
-        if isinstance(other, int):
-            return _IntPoly(self.low, [c // other for c in self.coeffs])
-        if not self.coeffs:
-            return self
-        return _IntPoly(self.low - other.low, _divide_exactly(self.coeffs, other.coeffs))
-
-    def exact_quotient(self, other: "_IntPoly"):
-        """``self / other`` as a GrossNumber when it is a Laurent polynomial
-        with rational digits, else None.  By Gauss's lemma it is one exactly
-        when other over the gcd of its coefficients divides self over the
-        integers."""
-        if not self.coeffs:
-            return ZERO
-        content = math.gcd(*other.coeffs)
-        quotient = _divide_exactly(self.coeffs, [c // content for c in other.coeffs])
-        if quotient is None:
-            return None
-        return GrossNumber(
-            (self.low - other.low + k, Fraction(c, content)) for k, c in enumerate(quotient)
-        )
-
-    def gross(self) -> GrossNumber:
-        return GrossNumber((self.low + k, c) for k, c in enumerate(self.coeffs))
-
-
-def _divide_exactly(dividend: List[int], divisor: List[int]):
-    """Integer coefficients q with ``q * divisor == dividend`` (dense, both
-    from their lowest power, divisor trimmed), or None when there are none.
-    Long division from the highest power stops at the first digit that does
-    not divide."""
-    width = len(divisor)
-    size = len(dividend) - width + 1
-    if size < 1:
-        return None
-    work = list(dividend)
-    top = divisor[-1]
-    quotient = [0] * size
-    for k in range(size - 1, -1, -1):
-        digit, remainder = divmod(work[k + width - 1], top)
-        if remainder:
-            return None
-        if digit:
-            quotient[k] = digit
-            work[k:k + width] = [w - digit * c for w, c in zip(work[k:k + width], divisor)]
-    if any(work[:width - 1]):
-        return None
-    return quotient
-
-
-def _poly_row(entries: Sequence[GrossNumber]) -> List[_IntPoly]:
-    """A row of gross-numbers times the lcm of its digit denominators."""
-    scale = math.lcm(*(d.denominator for entry in entries for _, d in entry.terms))
-    row = []
-    for entry in entries:
-        if entry.is_zero():
-            row.append(_IntPoly(0, []))
-            continue
-        low = entry.terms[-1][0]
-        coeffs = [0] * (entry.leading_power - low + 1)
-        for power, digit in entry.terms:
-            coeffs[power - low] = digit.numerator * (scale // digit.denominator)
-        row.append(_IntPoly(low, coeffs))
-    return row
 
 
 # -- exact rational elimination -------------------------------------------------
@@ -262,7 +140,7 @@ def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 def _bareiss_gauss_jordan(rows: List[list], columns: int) -> Tuple[int, object]:
     """Fraction-free (Bareiss) Gauss-Jordan elimination of ``rows`` of ints
-    or of ``_IntPoly``s, in place, over their first ``columns`` columns;
+    or of ``arith._IntPoly``s, in place, over their first ``columns`` columns;
     returns ``(rank, d)``.
 
     Each column with a nonzero entry below the pivot rows found so far gives

@@ -17,16 +17,18 @@ Grammar (variables are x1..xn):
     atom   := rational | 'x' uint | '(' expr ')'
 
 The reader is ``arith._ExpressionReader``, which the ``gross eval``
-calculator shares; parentheses nest at most 100 levels deep.
+calculator shares; parentheses nest at most 100 levels deep, and a power of
+a multi-term base may have at most 500 monomials.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple, Union
 
 from .arith import (
-    ZERO, GrossNumber, Scalar, _ExpressionReader, _square_and_multiply, as_gross,
+    _MAX_POWER_TERMS, ZERO, GrossNumber, Scalar, _ExpressionReader, _square_and_multiply, as_gross,
 )
 
 __all__ = [
@@ -132,6 +134,16 @@ class _ExprReader(_ExpressionReader):
 
     def power(self, base: PolyExpr, exponent: int) -> PolyExpr:
         return _square_and_multiply(base, exponent, self.one, _mul)
+
+    @staticmethod
+    def power_terms(base: PolyExpr, exponent: int) -> int:
+        # A base of t > 1 terms has at most C(e + t - 1, e) >= e + 1
+        # monomials in its e-th power; the binomial is formed for small e only.
+        if len(base) < 2:
+            return 1
+        if exponent >= _MAX_POWER_TERMS:
+            return exponent + 1
+        return math.comb(exponent + len(base) - 1, exponent)
 
 
 def parse_expr(text: str, dimension: int) -> PolyExpr:

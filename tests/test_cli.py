@@ -80,6 +80,20 @@ class TestGrossEval:
         assert run(["gross", "eval", nested(246, "G")]) == (65, "")
         assert capsys.readouterr().err == f"parse error: {NESTING_ERROR}\n"
 
+    @pytest.mark.parametrize(
+        "expression, position",
+        [("(1+G)^500", 5), ("(1+G)^-500", 5), ("(1 + G^500) ^ 1", 12)],
+    )
+    def test_power_over_the_term_limit_is_a_parse_error(self, capsys, expression, position):
+        # |e| * span + 1 = 501 levels for each.
+        assert run(["gross", "eval", expression]) == (65, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: power with more than 500 terms at position {position}: '^")
+        assert err.count("\n") == 1
+
+    def test_power_at_the_term_limit_is_accepted(self):
+        assert run(["gross", "eval", "(1 + G^499)^1 - G^499"]) == (0, "1\n")
+
 
 class TestLpSolve:
     def test_plain_rule_cycles(self):
@@ -396,6 +410,21 @@ class TestNlpPenalty:
         ]
         assert "pi = (-1)\n" in out and out.endswith("KKT VERIFIED\n")
 
+    def test_power_over_the_term_limit_is_a_parse_error(self, tmp_path, capsys):
+        # C(31 + 2, 2) = 528 monomials; (1+x1+x2)^30 has 496.
+        path = tmp_path / "power.nlp"
+        path.write_text("n 2\nf: (1+x1+x2)^31\n")
+        assert run(["nlp", "penalty", str(path)]) == (65, "")
+        assert capsys.readouterr().err == (
+            "parse error: line 2: power with more than 500 terms at position 9: '^31'\n"
+        )
+
+    def test_dimension_over_the_limit_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "wide.nlp"
+        path.write_text("n 401\nf: x1\n")
+        assert run(["nlp", "penalty", str(path)]) == (65, "")
+        assert capsys.readouterr().err == "parse error: line 1: n must be at most 400\n"
+
     def test_zero_dimension_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "empty.nlp"
         path.write_text("n 0\nf: 1\n")
@@ -543,6 +572,16 @@ class TestUsage:
         code, out = run(command + ["--max-iter", value])
         assert (code, out) == (64, "")
         assert capsys.readouterr().err == "usage error: --max-iter must be at least 1\n"
+
+
+class TestHelp:
+    def test_help_is_plain_text(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: grossone") and "65 parse error" in out
+        assert "``" not in out
 
 
 class TestDeterminism:

@@ -57,11 +57,15 @@ class TestParseNlp:
             "n 1\nf: x2",
             "n 1\nq: x1",
             "n one\nf: x1",
+            "n 401\nf: x1",
         ],
     )
     def test_rejects_malformed(self, bad):
         with pytest.raises(NlpFormatError):
             parse_nlp(bad)
+
+    def test_dimension_at_the_limit_is_accepted(self):
+        assert parse_nlp("n 400\nf: x1").dimension == 400
 
     def test_problem_validates_dimension(self):
         with pytest.raises(ValueError):

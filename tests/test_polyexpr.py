@@ -36,6 +36,15 @@ class TestParse:
         assert parse_expr("(x1 - x2)^0", 2) == {(0, 0): F(1)}
         assert parse_expr("-x1^99999999", 1) == {(99999999,): F(-1)}
 
+    def test_power_term_limit(self):
+        # A base of t terms has at most C(e + t - 1, e) monomials in its e-th
+        # power: 496 for (1+x1+x2)^30, 528 for the 31st power.
+        assert len(parse_expr("(1+x1+x2)^30", 2)) == 496
+        with pytest.raises(ParseError, match="power with more than 500 terms at position 9"):
+            parse_expr("(1+x1+x2)^31", 2)
+        with pytest.raises(ParseError, match="at position 6"):
+            parse_expr("(1+x1)^500", 1)
+
     def test_precedence_power_before_unary_minus(self):
         expr = parse_expr("-x1^2", 1)
         assert eval_rational(expr, [F(3)]) == -9
