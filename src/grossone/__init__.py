@@ -30,7 +30,6 @@ from .linalg import (
     rational_rank,
     solve_linear,
     solve_rational_columns,
-    solve_rational_vector,
 )
 from .polyexpr import (
     PolyExpr,

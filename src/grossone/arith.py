@@ -43,16 +43,19 @@ highest grosspower.  ``linalg``'s Bareiss elimination runs on them, and one
 top-down long division (``_long_division``) serves its exact ``//``, the
 exact quotient it tries before a series division, and that series division.
 
-So do the text readers: canonical gross-number text, and the expression
-grammar (``_ExpressionReader``: parentheses at most 100 deep, and a power
-of a multi-term base bounded to 500 terms before it is expanded) that
-``polyexpr`` and the ``gross eval`` calculator share.
+So does the one expression reader (``_ExpressionReader``: parentheses at
+most 100 deep, and a power of a multi-term base bounded to 500 terms before
+it is expanded) that ``polyexpr`` and gross-number text share.  Gross-number
+text has one reader, ``_GrossExprReader``: ``gross eval`` runs it with a
+truncation order and ``GrossNumber.parse`` without one, refusing a division
+by more than one term, so each reads what ``str`` prints.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,10 +132,34 @@ def _square_and_multiply(base, exponent: int, one, multiply):
     return result
 
 
-class _Scanner:
-    """Cursor shared by the recursive-descent readers: gross-number text
-    here, and the expression grammar of ``_ExpressionReader``.  Errors carry
-    the current position."""
+# Parentheses nest at most this deep in an expression.  A level costs four
+# Python frames, well inside the default recursion limit of 1000.
+_MAX_NESTING = 100
+
+# The most terms a '^' may make from a multi-term base, bounded before the
+# base is expanded.  On a 2-core Xeon the expansion costs about 0.3 s for
+# (1+G)^500, 1 s for (1+G)^1000 and 0.23 s for the 990 monomials of
+# (1+x1+x2)^43.
+_MAX_POWER_TERMS = 500
+
+
+class _ExpressionReader:
+    """Recursive-descent reader for the expression grammar shared by the
+    polynomials of ``polyexpr`` and gross-number text (``_GrossExprReader``):
+
+        expr   := term (('+'|'-') term)*           term := factor (op factor)*
+        factor := ['+'|'-'] atom ['^' exponent]    atom := '(' expr ')' | leaf
+
+    with whitespace allowed between tokens.  A subclass gives ``read_leaf``,
+    ``read_exponent``, ``term_operators`` ({op: function of two values}),
+    ``add``, ``negate``, ``power`` and ``power_terms`` (a bound on the terms
+    of a power).  A power and a term operator run with the cursor at their
+    '^' or operator, so an error they raise points there.  Parentheses
+    nested deeper than ``_MAX_NESTING`` levels are a ParseError at the first
+    '(' too many, and a power that may have more than ``_MAX_POWER_TERMS``
+    terms is one at its '^'."""
+
+    depth = 0
 
     def __init__(self, text: str):
         self.text = text
@@ -170,13 +197,13 @@ class _Scanner:
             self.pos = start
             raise self.error(str(exc)) from None
 
+    read_exponent = read_uint
+
     def read_int(self) -> int:
-        sign = 1
-        if self.peek() in ("+", "-"):
-            if self.peek() == "-":
-                sign = -1
+        sign = self.peek()
+        if sign in ("+", "-"):
             self.pos += 1
-        return sign * self.read_uint()
+        return -self.read_uint() if sign == "-" else self.read_uint()
 
     def read_rational(self) -> Fraction:
         numerator = self.read_uint()
@@ -189,35 +216,6 @@ class _Scanner:
                 raise self.error("zero denominator")
             return Fraction(numerator, denominator)
         return Fraction(numerator)
-
-
-# Parentheses nest at most this deep in an expression.  A level costs four
-# Python frames, well inside the default recursion limit of 1000.
-_MAX_NESTING = 100
-
-# The most terms a '^' may make from a multi-term base, bounded before the
-# base is expanded.  On a 2-core Xeon the expansion costs about 0.3 s for
-# (1+G)^500, 1 s for (1+G)^1000 and 0.23 s for the 990 monomials of
-# (1+x1+x2)^43.
-_MAX_POWER_TERMS = 500
-
-
-class _ExpressionReader(_Scanner):
-    """Recursive-descent reader for the expression grammar shared by the
-    polynomials of ``polyexpr`` and the ``gross eval`` calculator in ``cli``:
-
-        expr   := term (('+'|'-') term)*     term := factor (op factor)*
-        factor := ['-'] atom ['^' exponent]  atom := '(' expr ')' | leaf
-
-    with whitespace allowed between tokens.  A subclass gives ``read_leaf``,
-    ``read_exponent``, ``term_operators`` ({op: function of two values}),
-    ``add``, ``negate``, ``power`` and ``power_terms`` (a bound on the terms
-    of a power).  Parentheses nested deeper than ``_MAX_NESTING`` levels are
-    a ParseError at the first '(' too many, and a power that may have more
-    than ``_MAX_POWER_TERMS`` terms is one at its '^'."""
-
-    read_exponent = _Scanner.read_uint
-    depth = 0
 
     def read_atom(self):
         self.skip_ws()
@@ -235,8 +233,8 @@ class _ExpressionReader(_Scanner):
 
     def read_factor(self):
         self.skip_ws()
-        negative = self.peek() == "-"
-        if negative:
+        sign = self.peek()
+        if sign in ("+", "-"):
             self.pos += 1
         value = self.read_atom()
         self.skip_ws()
@@ -245,21 +243,25 @@ class _ExpressionReader(_Scanner):
             self.pos += 1
             self.skip_ws()
             exponent = self.read_exponent()
+            end, self.pos = self.pos, caret
             if self.power_terms(value, exponent) > _MAX_POWER_TERMS:
-                self.pos = caret
                 raise self.error(f"power with more than {_MAX_POWER_TERMS} terms")
             value = self.power(value, exponent)
-        return self.negate(value) if negative else value
+            self.pos = end
+        return self.negate(value) if sign == "-" else value
 
     def read_term(self):
         value = self.read_factor()
         while True:
             self.skip_ws()
-            op = self.peek()
+            op, mark = self.peek(), self.pos
             if op not in self.term_operators:
                 return value
             self.pos += 1
-            value = self.term_operators[op](value, self.read_factor())
+            rhs = self.read_factor()
+            end, self.pos = self.pos, mark
+            value = self.term_operators[op](value, rhs)
+            self.pos = end
 
     def read_expr(self):
         value = self.read_term()
@@ -505,8 +507,11 @@ class GrossNumber:
 
     @classmethod
     def parse(cls, text: str) -> "GrossNumber":
-        """Parse canonical text, e.g. "3G + 1", "1/4 - 1/16G^-1", "-2G^3"."""
-        return _TextReader(text).read_number()
+        """Read gross-number text such as "3G + 1", "1/4 - 1/16G^-1" or
+        "(1 + G)^2 / 2": the ``gross eval`` grammar with no truncation order,
+        so a division (or negative power) by more than one term is a
+        ParseError."""
+        return _GrossExprReader(text).read_all()
 
 
 def _sum_terms(a, b) -> Tuple[Tuple[int, Fraction], ...]:
@@ -748,59 +753,85 @@ def _format_term(power: int, magnitude: Fraction) -> str:
     return str(magnitude) + suffix
 
 
-class _TextReader(_Scanner):
-    """Recursive-descent reader for the canonical gross-number grammar.
-
-    number := term (('+'|'-') term)*
-    term   := [sign] (rational ['G' ['^' int]] | 'G' ['^' int])
-    rational := int ['/' uint]
-
-    A bare 'G' carries digit 1; a missing 'G' means grosspower 0.
-    """
-
-    def read_gross_term(self) -> Tuple[int, Fraction]:
-        sign = 1
-        if self.peek() in ("+", "-"):
-            if self.text[self.pos] == "-":
-                sign = -1
-            self.pos += 1
-            self.skip_ws()
-        if self.peek() == "G":
-            digit = Fraction(1)
-        elif self.peek().isdigit():
-            digit = self.read_rational()
-        else:
-            raise self.error("expected a term")
-        power = 0
-        if self.peek() == "G":
-            self.pos += 1
-            power = 1
-            if self.peek() == "^":
-                self.pos += 1
-                power = self.read_int()
-        return power, sign * digit
-
-    def read_number(self) -> GrossNumber:
-        self.skip_ws()
-        terms = [self.read_gross_term()]
-        while True:
-            self.skip_ws()
-            if self.pos >= len(self.text):
-                break
-            separator = self.peek()
-            if separator not in ("+", "-"):
-                raise self.error("expected '+' or '-'")
-            self.pos += 1
-            self.skip_ws()
-            power, digit = self.read_gross_term()
-            terms.append((power, -digit if separator == "-" else digit))
-        return GrossNumber(terms)
-
-
 ZERO = GrossNumber()
 ONE = GrossNumber([(0, 1)])
 GROSSONE = GrossNumber([(1, 1)])
 GROSSONE_INVERSE = GrossNumber([(-1, 1)])
+
+
+# Digits, optionally '/' and more digits, then 'G' at once: the digit of a
+# canonical term such as 3G or 1/16G^-1.
+_TERM_DIGIT = re.compile(r"\d+(?:/\d+)?G")
+
+
+class _GrossExprReader(_ExpressionReader):
+    """The reader of gross-number text: ``_ExpressionReader`` over
+    gross-numbers with term operators '*' and '/', an int exponent, and the
+    leaves uint and the canonical term ``[p['/'q]]'G'['^' int]``.  A term's
+    rational binds tighter than '/' only when 'G' follows it at once, and the
+    '^' after that 'G' is the term's: ``3G^2`` is 3G^2, ``(3G)^2`` is 9G^2
+    and ``2/3^2`` is 2/9.  With a truncation order (``gross eval``) a
+    division by a multi-term divisor is the truncated series; with none
+    (``GrossNumber.parse``) it is a ParseError, so every value read is
+    exact."""
+
+    add = staticmethod(operator.add)
+    negate = staticmethod(operator.neg)
+    read_exponent = _ExpressionReader.read_int
+
+    def __init__(self, text: str, config: Optional[ArithConfig] = None):
+        super().__init__(text)
+        self.exact = config is None
+        self.config = config or DEFAULT_CONFIG
+        self.term_operators = {"*": operator.mul, "/": self.divide}
+
+    def read_leaf(self) -> GrossNumber:
+        digit = Fraction(1)
+        if self.peek() != "G":
+            if not self.peek().isdigit():
+                raise self.error("expected a number, 'G', or '('")
+            if not _TERM_DIGIT.match(self.text, self.pos):
+                return GrossNumber([(0, self.read_uint())])
+            digit = self.read_rational()
+        self.pos += 1
+        power = 1
+        self.skip_ws()
+        if self.peek() == "^":
+            self.pos += 1
+            self.skip_ws()
+            power = self.read_int()
+            self.skip_ws()
+            if self.peek() == "^":
+                raise self.error("a power of a power needs parentheses")
+        return GrossNumber([(power, digit)])
+
+    def check_divisor(self, divisor: GrossNumber) -> None:
+        if not divisor:
+            raise self.error("division by zero")
+        if self.exact and len(divisor.terms) > 1:
+            raise self.error("division by more than one term is not exact")
+
+    def divide(self, a: GrossNumber, b: GrossNumber) -> GrossNumber:
+        self.check_divisor(b)
+        return a.divide(b, self.config)
+
+    def power(self, base: GrossNumber, exponent: int) -> GrossNumber:
+        if exponent < 0:
+            self.check_divisor(base)
+        return base.power(exponent, self.config)
+
+    @staticmethod
+    def power_terms(base: GrossNumber, exponent: int) -> int:
+        # The levels from |e| times the top grosspower down to |e| times the
+        # lowest; a negative power divides one by the positive one.
+        if len(base.terms) < 2:
+            return 1
+        return abs(exponent) * (base.leading_power - base.terms[-1][0]) + 1
+
+    def read_all(self) -> GrossNumber:
+        value = self.read_expr()
+        self.expect_end()
+        return value
 
 
 # -- module-level functions: as_gross and compare ------------------------------

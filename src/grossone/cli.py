@@ -1,6 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``lp solve``, ``lp compare``, ``nlp penalty``, ``gross eval``.
+``gross eval`` reads its own output: ``3G`` and ``1/16G^-1`` are terms.
 Reports print exact rationals only (never decimals) so outputs are stable
 byte for byte.  Exit codes: 0 optimal/verified/identical, 1 infeasible,
 2 unbounded, 3 cycle detected, 4 iteration limit, 5 solver failure or a
@@ -13,7 +14,6 @@ with more than 500 terms, or an NLP file with n over 400).
 from __future__ import annotations
 
 import argparse
-import operator
 import random
 import re
 import sys
@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .arith import (
-    ArithConfig, GROSSONE, GrossNumber, ParseError, _ExpressionReader, _decimal_int,
-    _over_str_limit, _str_digit_limit,
+    ArithConfig, GrossNumber, ParseError, _GrossExprReader, _decimal_int, _over_str_limit,
+    _str_digit_limit,
 )
 from .penalty import (
     InfeasibleStationaryError,
@@ -125,7 +125,9 @@ def build_parser() -> _Parser:
     gross = top.add_parser("gross", help="gross-number arithmetic")
     gross_sub = gross.add_subparsers(dest="action", required=True)
     gross_eval = gross_sub.add_parser("eval", help="evaluate an expression over gross-numbers")
-    gross_eval.add_argument("expression", help="e.g. 'G / (1 + 4*G)'; G is the infinite unit")
+    gross_eval.add_argument(
+        "expression", help="e.g. 'G / (1 + 4*G)' or '1/4 - 1/16G^-1'; G is the infinite unit"
+    )
     gross_eval.add_argument("--trunc", type=int, default=8)
     return parser
 
@@ -283,45 +285,6 @@ def cmd_nlp_penalty(args, out) -> int:
         return EXIT_OK
     print("KKT NOT VERIFIED", file=out)
     return EXIT_KKT_UNVERIFIED
-
-
-class _GrossExprReader(_ExpressionReader):
-    """The calculator: ``arith._ExpressionReader`` over gross-numbers, with
-    leaves uint and 'G', term operators '*' and '/', and an int exponent."""
-
-    add = staticmethod(operator.add)
-    negate = staticmethod(operator.neg)
-    read_exponent = _ExpressionReader.read_int
-
-    def __init__(self, text: str, config: ArithConfig):
-        super().__init__(text)
-        self.config = config
-        self.term_operators = {"*": operator.mul, "/": lambda a, b: a.divide(b, config)}
-
-    def read_leaf(self) -> GrossNumber:
-        ch = self.peek()
-        if ch == "G":
-            self.pos += 1
-            return GROSSONE
-        if ch.isdigit():
-            return GrossNumber([(0, self.read_uint())])
-        raise self.error("expected a number, 'G', or '('")
-
-    def power(self, base: GrossNumber, exponent: int) -> GrossNumber:
-        return base.power(exponent, self.config)
-
-    @staticmethod
-    def power_terms(base: GrossNumber, exponent: int) -> int:
-        # The levels from |e| times the top grosspower down to |e| times the
-        # lowest; a negative power divides one by the positive one.
-        if len(base.terms) < 2:
-            return 1
-        return abs(exponent) * (base.leading_power - base.terms[-1][0]) + 1
-
-    def read_all(self) -> GrossNumber:
-        value = self.read_expr()
-        self.expect_end()
-        return value
 
 
 def cmd_gross_eval(args, out) -> int:

@@ -15,8 +15,7 @@ whose digits above the cutoff are exact.
 
 solve_rational_columns returns integer columns over one positive
 denominator, |det| of the scaled matrix, which the starting tableau of each
-simplex solve adopts as it stands; solve_rational_vector divides them into
-Fractions; rational_rank counts the pivots, skipping columns that have
+simplex solve adopts as it stands; rational_rank counts the pivots, skipping columns that have
 none.  They also back the lexicographic oracle, the vertex enumeration, the
 instance generator and the constraint-qualification rank checks.  Entries
 are ints, Fractions or strings such as "1/3"; floats and bools are refused.
@@ -35,7 +34,6 @@ __all__ = [
     "solve_linear",
     "rational_rank",
     "solve_rational_columns",
-    "solve_rational_vector",
 ]
 
 
@@ -120,14 +118,6 @@ def solve_rational_columns(
     if rank < n:
         raise SingularMatrixError(f"matrix is singular (rank {rank} < {n})")
     return [[rows[i][n + c] for i in range(n)] for c in range(k)], d
-
-
-def solve_rational_vector(
-    matrix: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-) -> List[Fraction]:
-    (column,), d = solve_rational_columns(matrix, [list(rhs)])
-    return [Fraction(v, d) for v in column]
 
 
 def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -13,11 +13,11 @@ Grammar (variables are x1..xn):
 
     expr   := term (('+'|'-') term)*
     term   := factor ('*' factor)*
-    factor := ['-'] atom ['^' uint]
+    factor := ['+'|'-'] atom ['^' uint]
     atom   := rational | 'x' uint | '(' expr ')'
 
-The reader is ``arith._ExpressionReader``, which the ``gross eval``
-calculator shares; parentheses nest at most 100 levels deep, and a power of
+The reader is ``arith._ExpressionReader``, which gross-number text
+shares; parentheses nest at most 100 levels deep, and a power of
 a multi-term base may have at most 500 monomials.
 """
 

@@ -49,7 +49,6 @@ from .linalg import (
     _integer_row,
     rational_rank,
     solve_rational_columns,
-    solve_rational_vector,
 )
 
 __all__ = [
@@ -664,14 +663,14 @@ def enumerate_vertices_oracle(
     for columns in itertools.combinations(range(lp.n), lp.m):
         matrix = [[lp.a[i][j] for j in columns] for i in range(lp.m)]
         try:
-            xb = solve_rational_vector(matrix, lp.b)
+            (xb,), d = solve_rational_columns(matrix, [lp.b])
         except SingularMatrixError:
             continue
         if any(v < 0 for v in xb):
             continue
         x = [Fraction(0)] * lp.n
         for position, j in enumerate(columns):
-            x[j] = xb[position]
+            x[j] = Fraction(xb[position], d)
         value = sum(cj * xj for cj, xj in zip(lp.c, x))
         if best is None or value < best[0]:
             best = (value, tuple(x))

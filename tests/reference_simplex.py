@@ -2,7 +2,7 @@
 
 Test-only reference for the tableau that ``grossone.simplex`` updates by
 pivots.  Everything here is computed directly from ``(lp, basis)`` with
-``solve_rational_vector`` on ``A_B`` (or its transpose, for the prices),
+``solve_vector`` on ``A_B`` (or its transpose, for the prices),
 never from a tableau, so a faulty pivot update cannot agree with it by
 construction.
 """
@@ -14,8 +14,14 @@ from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from grossone.arith import ZERO, GrossNumber, as_gross, compare
-from grossone.linalg import solve_rational_vector
+from grossone.linalg import solve_rational_columns
 from grossone.simplex import Basis, LpStandardForm
+
+
+def solve_vector(matrix, rhs) -> List[Fraction]:
+    """The solution of ``matrix x = rhs`` as Fractions."""
+    (column,), d = solve_rational_columns(matrix, [list(rhs)])
+    return [Fraction(v, d) for v in column]
 
 
 def basis_matrix(lp: LpStandardForm, basis: Basis) -> List[List[Fraction]]:
@@ -54,13 +60,13 @@ def determinant(matrix: List[List[Fraction]]) -> Fraction:
 
 def basic_solution(lp: LpStandardForm, basis: Basis) -> List[Fraction]:
     """x_B = A_B^-1 b."""
-    return solve_rational_vector(basis_matrix(lp, basis), lp.b)
+    return solve_vector(basis_matrix(lp, basis), lp.b)
 
 
 def prices(lp: LpStandardForm, basis: Basis) -> List[Fraction]:
     """y with A_B^T y = c_B."""
     transpose = [[lp.a[i][j] for i in range(lp.m)] for j in basis]
-    return solve_rational_vector(transpose, [lp.c[j] for j in basis])
+    return solve_vector(transpose, [lp.c[j] for j in basis])
 
 
 def reduced_costs(lp: LpStandardForm, basis: Basis) -> Dict[int, Fraction]:
@@ -75,8 +81,8 @@ def reduced_costs(lp: LpStandardForm, basis: Basis) -> Dict[int, Fraction]:
 def tableau_rows(lp: LpStandardForm, basis: Basis) -> List[List[Fraction]]:
     """A_B^-1 [A | b], one fresh solve per column."""
     a_b = basis_matrix(lp, basis)
-    columns = [solve_rational_vector(a_b, lp.column(j)) for j in range(lp.n)]
-    columns.append(solve_rational_vector(a_b, lp.b))
+    columns = [solve_vector(a_b, lp.column(j)) for j in range(lp.n)]
+    columns.append(solve_vector(a_b, lp.b))
     return [[column[i] for column in columns] for i in range(lp.m)]
 
 
@@ -91,8 +97,8 @@ def objective_row(lp: LpStandardForm, basis: Basis) -> List[Fraction]:
 def perturbed_rhs(lp: LpStandardForm, basis: Basis, base_basis: Basis) -> Tuple[GrossNumber, ...]:
     """A_B^-1 b + (A_B^-1 A_B0) e with e = (G^-1, ..., G^-m)."""
     a_b = basis_matrix(lp, basis)
-    xb = solve_rational_vector(a_b, lp.b)
-    carried = [solve_rational_vector(a_b, lp.column(j)) for j in base_basis]
+    xb = solve_vector(a_b, lp.b)
+    carried = [solve_vector(a_b, lp.column(j)) for j in base_basis]
     entries = []
     for i in range(lp.m):
         terms = [(0, xb[i])]
@@ -112,7 +118,7 @@ def perturbed_objective(lp: LpStandardForm, basis: Basis, base_basis: Basis) -> 
 
 def ratio_test_plain(lp: LpStandardForm, basis: Basis, entering: int) -> Optional[int]:
     """Minimum ratio, ties to the smallest basis position."""
-    direction = solve_rational_vector(basis_matrix(lp, basis), lp.column(entering))
+    direction = solve_vector(basis_matrix(lp, basis), lp.column(entering))
     xb = basic_solution(lp, basis)
     best_row, best_ratio = None, None
     for i in range(lp.m):
@@ -128,7 +134,7 @@ def ratio_test_grossone(
     lp: LpStandardForm, basis: Basis, base_basis: Basis, entering: int
 ) -> Optional[int]:
     """Minimum perturbed ratio; None when no direction entry is positive."""
-    direction = solve_rational_vector(basis_matrix(lp, basis), lp.column(entering))
+    direction = solve_vector(basis_matrix(lp, basis), lp.column(entering))
     rhs = perturbed_rhs(lp, basis, base_basis)
     best_row, best_ratio = None, None
     for i in range(lp.m):

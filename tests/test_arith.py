@@ -1,3 +1,4 @@
+import io
 import random
 from fractions import Fraction
 
@@ -15,9 +16,10 @@ from grossone.arith import (
     ZERO,
     compare,
 )
-from grossone.cli import _GrossExprReader
+from grossone.cli import _GrossExprReader, main
 from grossone.polyexpr import parse_expr
 
+import reference_text
 from helpers import nested, random_gross
 
 F = Fraction
@@ -28,6 +30,29 @@ digits = st.fractions(min_value=F(-100), max_value=F(100), max_denominator=100)
 powers = st.integers(min_value=-5, max_value=5)
 gross_numbers = st.lists(st.tuples(powers, digits), max_size=4).map(GrossNumber)
 nonzero_gross = gross_numbers.filter(lambda g: not g.is_zero())
+
+# Texts of the canonical grammar of reference_text: signed terms p, p/q, G,
+# pG, p/qG with optional ^k (k signed), joined by '+' or '-', spaces anywhere
+# that grammar allows them.
+_spaces = st.sampled_from(["", " ", "  "])
+_uints = st.integers(min_value=0, max_value=10**6).map(str)
+_rationals = st.one_of(_uints, st.tuples(_uints, st.integers(1, 999)).map(lambda t: f"{t[0]}/{t[1]}"))
+_exponents = st.tuples(st.sampled_from(["", "+", "-"]), _uints).map("".join)
+_terms = st.tuples(
+    st.sampled_from(["", "+", "-"]),
+    _spaces,
+    st.one_of(
+        _rationals,
+        st.tuples(st.one_of(st.just(""), _rationals), st.one_of(st.just(""), _exponents.map("^".__add__)))
+        .map(lambda t: f"{t[0]}G{t[1]}"),
+    ),
+).map(lambda t: t[0] + (t[1] if t[0] else "") + t[2])
+canonical_texts = st.tuples(
+    _spaces,
+    _terms,
+    st.lists(st.tuples(_spaces, st.sampled_from(["+", "-"]), _spaces, _terms).map("".join), max_size=4),
+    _spaces,
+).map(lambda t: t[0] + t[1] + "".join(t[2]) + t[3])
 
 
 class TestNormalization:
@@ -288,17 +313,59 @@ class TestText:
             GrossNumber.parse(bad)
         assert info.value.pos >= 0
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("2/3^2", GrossNumber([(0, F(2, 9))])),
+            ("1/2*G", GrossNumber([(1, F(1, 2))])),
+            ("G/2", GrossNumber([(1, F(1, 2))])),
+            ("3G^2", GrossNumber([(2, 3)])),
+            ("(3G)^2", GrossNumber([(2, 9)])),
+            ("-2G^3", GrossNumber([(3, -2)])),
+            ("1/16G^-1", GrossNumber([(-1, F(1, 16))])),
+            ("+3", GrossNumber([(0, 3)])),
+            ("3G ^ 2", GrossNumber([(2, 3)])),
+            ("(1 + G)^2 / 2", GrossNumber([(2, F(1, 2)), (1, 1), (0, F(1, 2))])),
+        ],
+    )
+    def test_meaning_of_the_canonical_term(self, text, value):
+        # A rational binds to G only when G follows at once, and the '^'
+        # after that G belongs to the term.
+        assert GrossNumber.parse(text) == value
+
+    @given(value=gross_numbers, order=st.sampled_from([1, 8, 40]))
+    @settings(deadline=None, max_examples=100)
+    def test_gross_eval_reads_its_own_output(self, value, order):
+        out = io.StringIO()
+        assert main(["gross", "eval", "--trunc", str(order), "--", str(value)], out=out) == 0
+        assert out.getvalue() == str(value) + "\n"
+        assert GrossNumber.parse(str(value)) == value
+
+    @given(text=canonical_texts)
+    @settings(deadline=None, max_examples=300)
+    def test_parse_agrees_with_the_canonical_reader(self, text):
+        assert GrossNumber.parse(text) == reference_text.parse(text)
+
 
 class TestScanner:
-    """The three readers share one scanner; their messages and positions
-    are pinned here."""
+    """Gross-number text (read by GrossNumber.parse, "gross", and by the
+    calculator, "calc") and polynomials ("poly") share one expression
+    reader; their messages and positions are pinned here."""
 
     @pytest.mark.parametrize(
         "reader, text, message",
         [
-            ("gross", "1/0", "zero denominator at position 2: '0'"),
+            ("gross", "1/0", "division by zero at position 1: '/0'"),
             ("gross", "1G^", "expected an unsigned integer at position 3: '<end of input>'"),
-            ("gross", "2x", "expected '+' or '-' at position 1: 'x'"),
+            ("gross", "2x", "unexpected trailing input at position 1: 'x'"),
+            ("gross", "3 G", "unexpected trailing input at position 2: 'G'"),
+            ("gross", "1/0G", "zero denominator at position 2: '0G'"),
+            ("gross", "1/(1+G)", "division by more than one term is not exact at position 1: '/(1+G)'"),
+            ("gross", "(1+G)^-1", "division by more than one term is not exact at position 5: '^-1'"),
+            ("gross", "(G - G)^-2", "division by zero at position 7: '^-2'"),
+            ("gross", "3G^2^3", "a power of a power needs parentheses at position 4: '^3'"),
+            ("calc", "1/(1+G)", None),
+            ("calc", "1 / (G - G)", "division by zero at position 2: '/ (G - G)'"),
             ("poly", "1/0", "zero denominator at position 2: '0'"),
             ("poly", "1//2", "expected an unsigned integer at position 2: '/2'"),
             ("poly", "(x1", "expected ')' at position 3: '<end of input>'"),

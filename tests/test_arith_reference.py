@@ -4,10 +4,10 @@ reference in reference_arith: equal term tuples, digit for digit."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import reference_arith as ref
-from grossone.arith import ArithConfig, GrossNumber, compare
+from grossone.arith import ArithConfig, GrossNumber, _long_division, compare
 
 F = Fraction
 
@@ -146,3 +146,61 @@ def test_compare_matches_sign_of_reference_difference(pair):
 def test_compare_with_scalar_matches_reference(a, scalar):
     b = GrossNumber([(0, scalar)])
     assert compare(a, scalar) == ref.sub(a, b).sign() == -compare(scalar, a)
+
+
+def fraction_division(dividend, divisor):
+    """Quotient and remainder of two coefficient lists (highest power
+    first) over the rationals; the quotient is empty when the dividend is
+    shorter than the divisor."""
+    work = [Fraction(c) for c in dividend]
+    size = max(len(dividend) - len(divisor) + 1, 0)
+    quotient = []
+    for k in range(size):
+        digit = work[k] / divisor[0]
+        quotient.append(digit)
+        for j, c in enumerate(divisor):
+            work[k + j] -= c * digit
+    return quotient, work[size:]
+
+
+small_ints = st.integers(min_value=-6, max_value=6)
+nonzero_ints = small_ints.filter(bool)
+
+
+@st.composite
+def long_divisions(draw):
+    """A dividend with a nonzero leading coefficient, as ``_IntPoly`` keeps
+    them, and a divisor: often a product ``quotient * divisor``, with or
+    without one coefficient nudged, so exact and inexact cases both occur."""
+    divisor = [draw(nonzero_ints)] + draw(st.lists(small_ints, max_size=3))
+    if draw(st.booleans()):
+        quotient = [draw(nonzero_ints)] + draw(st.lists(small_ints, max_size=3))
+        dividend = [0] * (len(quotient) + len(divisor) - 1)
+        for i, q in enumerate(quotient):
+            for j, c in enumerate(divisor):
+                dividend[i + j] += q * c
+        index = draw(st.integers(0, len(dividend) - 1))
+        dividend[index] += draw(st.sampled_from([0, 0, 1, -1, 2]))
+        assume(dividend[0])
+    else:
+        dividend = [draw(nonzero_ints)] + draw(st.lists(small_ints, max_size=6))
+    return dividend, divisor
+
+
+@given(case=long_divisions())
+@settings(deadline=None, max_examples=300)
+def test_exact_long_division_matches_rational_division(case):
+    """Exact-mode ``_long_division`` returns a quotient exactly when the
+    rational division leaves no remainder and every quotient digit is an
+    integer, and then returns that quotient."""
+    dividend, divisor = case
+    quotient, remainder = fraction_division(dividend, divisor)
+    exact = bool(quotient) and not any(remainder) and all(q.denominator == 1 for q in quotient)
+    assert _long_division(dividend, divisor) == (quotient if exact else None)
+
+
+def test_long_division_refuses_a_leading_digit_remainder():
+    # 15x^3 - 4x^2 - 16x + 4 = (5x - 1)(3x^2 - x/5 - 81/25) + 19/25: the
+    # second digit -1 is not a multiple of 5, yet the integer divisions that
+    # ignore it leave no remainder at the end.
+    assert _long_division([15, -4, -16, 4], [5, -1]) is None

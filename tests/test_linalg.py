@@ -10,12 +10,11 @@ from grossone.linalg import (
     rational_rank,
     solve_linear,
     solve_rational_columns,
-    solve_rational_vector,
 )
 
 from helpers import matvec, random_fraction, random_gross
 from reference_linalg import truncated_solve
-from reference_simplex import determinant
+from reference_simplex import determinant, solve_vector
 
 F = Fraction
 G = GROSSONE
@@ -48,7 +47,7 @@ class TestSolveLinear:
             rows = [[random_fraction(rng, 9) for _ in range(n)] for _ in range(n)]
             rhs = [random_fraction(rng, 9) for _ in range(n)]
             try:
-                expected = solve_rational_vector(rows, rhs)
+                expected = solve_vector(rows, rhs)
             except SingularMatrixError:
                 continue
             solution = solve_linear(rows, rhs)
@@ -201,7 +200,7 @@ class TestRationalSolvers:
             rows = [[random_fraction(rng, 9) for _ in range(n)] for _ in range(n)]
             rhs = [random_fraction(rng, 9) for _ in range(n)]
             try:
-                solution = solve_rational_vector(rows, rhs)
+                solution = solve_vector(rows, rhs)
             except SingularMatrixError:
                 assert rational_rank(rows) < n
                 continue
@@ -215,7 +214,7 @@ class TestRationalSolvers:
         cols = [[F(1), F(0)], [F(0), F(1)], [F(5), F(-7)]]
         stacked, d = solve_rational_columns(rows, cols)
         for col, solution in zip(cols, stacked):
-            assert solve_rational_vector(rows, col) == [F(v, d) for v in solution]
+            assert solve_vector(rows, col) == [F(v, d) for v in solution]
 
     def test_columns_round_trip_with_swaps_and_signs(self):
         # Zero entries force row swaps and rows with a zero in the pivot
@@ -240,12 +239,12 @@ class TestRationalSolvers:
         assert solved > 20
 
     def test_accepts_ints_and_strings(self):
-        assert solve_rational_vector([[0, 2], ["1/3", 0]], [1, -1]) == [F(-3), F(1, 2)]
+        assert solve_vector([[0, 2], ["1/3", 0]], [1, -1]) == [F(-3), F(1, 2)]
 
     @pytest.mark.parametrize("bad", [0.5, 1.0, True, None])
     def test_refuses_floats_and_bools(self, bad):
         with pytest.raises(TypeError):
-            solve_rational_vector([[1, 0], [0, bad]], [1, 1])
+            solve_vector([[1, 0], [0, bad]], [1, 1])
         with pytest.raises(TypeError):
             solve_rational_columns([[1]], [[bad]])
         with pytest.raises(TypeError):

@@ -67,6 +67,10 @@ class TestParseNlp:
     def test_dimension_at_the_limit_is_accepted(self):
         assert parse_nlp("n 400\nf: x1").dimension == 400
 
+    def test_problem_over_the_dimension_limit_is_refused_at_once(self):
+        with pytest.raises(ValueError, match="^n must be at most 400$"):
+            NlpProblem(401, {})
+
     def test_problem_validates_dimension(self):
         with pytest.raises(ValueError):
             NlpProblem(1, parse_expr("x1 + x2", 2))
