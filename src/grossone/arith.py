@@ -200,10 +200,12 @@ class _ExpressionReader:
     read_exponent = read_uint
 
     def read_int(self) -> int:
-        sign = self.peek()
-        if sign in ("+", "-"):
+        sign = 1
+        if self.peek() in ("+", "-"):
+            if self.peek() == "-":
+                sign = -1
             self.pos += 1
-        return -self.read_uint() if sign == "-" else self.read_uint()
+        return sign * self.read_uint()
 
     def read_rational(self) -> Fraction:
         numerator = self.read_uint()
